@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ev_bench::run_cell;
-use ev_core::experiments::{
-    evaluation_sweep_at, fig1, fig5, fig6, fig7_from, fig8_from, table1_row,
-};
+use ev_core::experiments::{fig1, fig5, fig6, fig7_from, fig8_from, table1_row, EvaluationSweep};
 use ev_core::ControllerKind;
 use ev_drive::DriveCycle;
 
@@ -46,7 +44,9 @@ fn bench_fig7(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fig7_ece_eudc_column", |b| {
         b.iter(|| {
-            let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+            let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece_eudc()])
+                .run()
+                .completed();
             black_box(fig7_from(&cells))
         })
     });
@@ -59,7 +59,9 @@ fn bench_fig8(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fig8_ece_eudc_column", |b| {
         b.iter(|| {
-            let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+            let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece_eudc()])
+                .run()
+                .completed();
             black_box(fig8_from(&cells))
         })
     });

@@ -8,7 +8,7 @@ use ev_bench::{bench_context, bench_preview};
 use ev_control::{ClimateController, MpcController};
 use ev_hvac::{CabinParams, Hvac, HvacInput, HvacLimits, HvacParams, HvacState};
 use ev_linalg::{Lu, Matrix};
-use ev_optim::{NlpProblem, QpProblem, QpSolver, SqpSolver};
+use ev_optim::{NlpProblem, NoopSqpObserver, QpProblem, QpSolver, SqpSolver};
 use ev_powertrain::{PowerTrain, VehicleParams};
 use ev_units::{Celsius, KgPerSecond, MetersPerSecond, Seconds, Watts};
 
@@ -56,7 +56,13 @@ fn bench_qp(c: &mut Criterion) {
         .with_inequalities(a, rhs)
         .expect("valid constraints");
     c.bench_function("qp_ipm_32v_104c", |b| {
-        b.iter(|| black_box(QpSolver::default().solve(black_box(&p)).expect("solves")))
+        b.iter(|| {
+            black_box(
+                QpSolver::default()
+                    .solve(&black_box(&p).as_view(), None, None)
+                    .expect("solves"),
+            )
+        })
     });
 }
 
@@ -85,7 +91,7 @@ fn bench_sqp(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 SqpSolver::default()
-                    .solve(&Bilinear, &[0.5, 1.0, 0.5, 0.5])
+                    .solve(&Bilinear, &[0.5, 1.0, 0.5, 0.5], None, NoopSqpObserver)
                     .expect("solves"),
             )
         })

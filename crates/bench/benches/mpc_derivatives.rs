@@ -1,10 +1,10 @@
-//! Analytic vs finite-difference MPC derivative benchmarks.
+//! MPC derivative, control-step and sweep-cell benchmarks.
 //!
 //! The MPC NLP supplies an adjoint objective gradient and a
-//! forward-sensitivity inequality Jacobian; the solver's fallback is
+//! forward-sensitivity inequality Jacobian; the generic fallback is
 //! central differencing (2·n extra rollouts per gradient, another 2·n per
-//! Jacobian). These benches pin the speedup at the two granularities that
-//! matter: one `MpcController::control` solve and a whole
+//! Jacobian). `derivative_eval_*` pins that speedup on one evaluation;
+//! the other arms time one `MpcController::control` solve and a whole
 //! evaluation-sweep cell. `BENCH_mpc.json` at the repository root records
 //! the baseline medians.
 
@@ -24,7 +24,7 @@ use ev_optim::NlpProblem;
 /// end-to-end solves dilute it with QP time.
 fn bench_derivative_eval(c: &mut Criterion) {
     let params = EvParams::nissan_leaf_like();
-    let mpc = paper_mpc(&params, false);
+    let mpc = paper_mpc(&params);
     let preview = bench_preview(64);
     let ctx = bench_context(&preview);
     let nlp = mpc.nlp(&ctx);
@@ -64,10 +64,9 @@ fn bench_derivative_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full MPC solve (horizon 8, re-solve every call), analytic vs
-/// finite-difference derivatives on the same hot-day context, plus an
-/// analytic variant with a live telemetry registry attached and one with
-/// an explicitly attached — but disabled — flight recorder. The
+/// One full MPC solve (horizon 8, re-solve every call) on a hot-day
+/// context, plus a variant with a live telemetry registry attached and
+/// one with an explicitly attached — but disabled — flight recorder. The
 /// observability acceptance bar is that `control_step_analytic` and
 /// `control_step_flight_recorder_disabled` stay at the
 /// `control_step_analytic` baseline in `BENCH_mpc.json` (both inert
@@ -77,11 +76,10 @@ fn bench_control_step(c: &mut Criterion) {
     let preview = bench_preview(64);
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(15);
-    for (label, fd, telemetry) in [
-        ("control_step_analytic", false, false),
-        ("control_step_finite_diff", true, false),
-        ("control_step_telemetry", false, true),
-        ("control_step_flight_recorder_disabled", false, false),
+    for (label, telemetry) in [
+        ("control_step_analytic", false),
+        ("control_step_telemetry", true),
+        ("control_step_flight_recorder_disabled", false),
     ] {
         group.bench_function(label, |b| {
             let params = EvParams::nissan_leaf_like();
@@ -93,7 +91,6 @@ fn bench_control_step(c: &mut Criterion) {
                 .recompute_every(1)
                 .battery(params.mpc_battery_model())
                 .accessory_power(params.accessory_power)
-                .finite_difference_derivatives(fd)
                 .telemetry(&registry);
             if label == "control_step_flight_recorder_disabled" {
                 builder = builder.flight_recorder(&recorder);
@@ -234,18 +231,13 @@ fn bench_horizon_scaling(c: &mut Criterion) {
 }
 
 /// One whole ECE-15 × MPC evaluation-sweep cell (the granularity
-/// `evaluation_sweep` parallelizes over), analytic vs finite-difference.
+/// `EvaluationSweep::run` parallelizes over).
 fn bench_sweep_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc_derivatives");
     group.sample_size(2);
-    for (label, fd) in [
-        ("sweep_cell_ece15_analytic", false),
-        ("sweep_cell_ece15_finite_diff", true),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(run_mpc_cell(&DriveCycle::ece15(), 35.0, fd)))
-        });
-    }
+    group.bench_function("sweep_cell_ece15_analytic", |b| {
+        b.iter(|| black_box(run_mpc_cell(&DriveCycle::ece15(), 35.0)))
+    });
     group.finish();
 }
 

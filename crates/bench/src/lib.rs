@@ -43,15 +43,14 @@ pub fn run_cell(cycle: &DriveCycle, ambient_c: f64, kind: ControllerKind) -> Sim
 }
 
 /// Builds the paper-configured MPC controller (the configuration
-/// [`ControllerKind::Mpc`] instantiates), optionally forced onto the
-/// central-difference derivative fallback so the analytic-derivative
-/// speedup can be measured A/B on identical problems.
+/// [`ControllerKind::Mpc`] instantiates) as a concrete
+/// [`ev_control::MpcController`], so benches can reach its NLP.
 ///
 /// # Panics
 ///
 /// Panics if the built-in configuration fails to construct (it does not).
 #[must_use]
-pub fn paper_mpc(params: &EvParams, finite_diff: bool) -> ev_control::MpcController {
+pub fn paper_mpc(params: &EvParams) -> ev_control::MpcController {
     ev_control::MpcController::builder(params.hvac_model(), params.limits())
         .target(params.target)
         .horizon(8)
@@ -59,24 +58,23 @@ pub fn paper_mpc(params: &EvParams, finite_diff: bool) -> ev_control::MpcControl
         .recompute_every(4)
         .battery(params.mpc_battery_model())
         .accessory_power(params.accessory_power)
-        .finite_difference_derivatives(finite_diff)
         .build()
         .expect("paper mpc config is valid")
 }
 
 /// Runs one cycle × MPC cell like [`run_cell`], but through
-/// [`paper_mpc`] so the derivative mode can be selected.
+/// [`paper_mpc`].
 ///
 /// # Panics
 ///
 /// Panics if the built-in configuration fails to construct (it does not).
 #[must_use]
-pub fn run_mpc_cell(cycle: &DriveCycle, ambient_c: f64, finite_diff: bool) -> SimulationResult {
+pub fn run_mpc_cell(cycle: &DriveCycle, ambient_c: f64) -> SimulationResult {
     let mut params = EvParams::nissan_leaf_like();
     params.initial_cabin = Some(params.target);
     let sim = Simulation::new(params.clone(), bench_profile(cycle, ambient_c))
         .expect("profile non-empty");
-    let mut mpc = paper_mpc(&params, finite_diff);
+    let mut mpc = paper_mpc(&params);
     sim.run(&mut mpc).expect("simulation runs")
 }
 

@@ -212,7 +212,6 @@ pub struct MpcBuilder {
     weights: MpcWeights,
     battery: MpcBatteryModel,
     accessory_power: Watts,
-    finite_difference_derivatives: bool,
     multiple_shooting: bool,
     telemetry: Registry,
     max_sqp_iterations: usize,
@@ -279,16 +278,6 @@ impl MpcBuilder {
         self
     }
 
-    /// Forces the solver onto the central-difference derivative fallback
-    /// instead of the analytic adjoint/sensitivity derivatives. Exists for
-    /// A/B benchmarking and derivative regression tests; the default
-    /// (`false`) is strictly faster and more accurate.
-    #[must_use]
-    pub fn finite_difference_derivatives(mut self, fd: bool) -> Self {
-        self.finite_difference_derivatives = fd;
-        self
-    }
-
     /// Switches the solver onto the multiple-shooting transcription: the
     /// predicted cabin temperature becomes a decision variable per step
     /// (5 variables/step instead of 4) tied to the trapezoidal dynamics by
@@ -297,10 +286,7 @@ impl MpcBuilder {
     /// [`QpStructure`] and the SQP's KKT solves run on the banded
     /// backend in O(N) instead of the dense path's O(N³). The condensed
     /// (single-shooting) default keeps the smaller variable count; both
-    /// transcriptions optimize the same trajectory. Ignored when
-    /// [`MpcBuilder::finite_difference_derivatives`] is set — the
-    /// finite-difference fallback exists to exercise the condensed
-    /// derivative path.
+    /// transcriptions optimize the same trajectory.
     #[must_use]
     pub fn multiple_shooting(mut self, ms: bool) -> Self {
         self.multiple_shooting = ms;
@@ -394,8 +380,7 @@ impl MpcBuilder {
             sqp_warm: QpWarmStart::new(),
             cached_input: None,
             steps_since_solve: 0,
-            use_finite_diff: self.finite_difference_derivatives,
-            use_multiple_shooting: self.multiple_shooting && !self.finite_difference_derivatives,
+            use_multiple_shooting: self.multiple_shooting,
             metrics: MpcMetrics::bind(&self.telemetry),
             diagnostics: MpcDiagnostics::default(),
             recorder: self.recorder,
@@ -455,7 +440,6 @@ pub struct MpcController {
     sqp_warm: QpWarmStart,
     cached_input: Option<HvacInput>,
     steps_since_solve: usize,
-    use_finite_diff: bool,
     use_multiple_shooting: bool,
     metrics: MpcMetrics,
     diagnostics: MpcDiagnostics,
@@ -518,7 +502,6 @@ impl MpcController {
             weights: MpcWeights::default(),
             battery: MpcBatteryModel::default(),
             accessory_power: Watts::new(300.0),
-            finite_difference_derivatives: false,
             multiple_shooting: false,
             telemetry: Registry::disabled(),
             max_sqp_iterations: 25,
@@ -647,7 +630,7 @@ impl MpcController {
     /// Builds the receding-horizon NLP for the given context without
     /// solving it. Public so harnesses (benchmarks, derivative
     /// cross-checks) can evaluate the problem's exact derivatives against
-    /// the finite-difference fallback at arbitrary points.
+    /// [`ev_optim::finite_diff`] at arbitrary points.
     #[must_use]
     pub fn nlp(&self, ctx: &ControlContext<'_>) -> impl NlpProblem + '_ {
         self.build_nlp(ctx)
@@ -693,6 +676,24 @@ impl MpcController {
         }
     }
 
+    /// Runs the SQP on the active transcription: the multiple-shooting
+    /// view carries the interior-point multiplier cache across solves,
+    /// while the condensed problem starts every QP cold so its iterate
+    /// trajectory stays bit-reproducible run to run.
+    fn run_sqp<O: SqpObserver>(
+        &self,
+        nlp: &MpcNlp<'_>,
+        ms_nlp: Option<&MsMpcNlp<'_, '_>>,
+        z0: &[f64],
+        sqp_warm: &mut QpWarmStart,
+        observer: O,
+    ) -> Result<SqpResult, OptimError> {
+        match ms_nlp {
+            Some(ms) => self.solver.solve(ms, z0, Some(sqp_warm), observer),
+            None => self.solver.solve(nlp, z0, None, observer),
+        }
+    }
+
     /// Solves the receding-horizon problem and caches the first input.
     ///
     /// All telemetry here is observation-only: the solver sees the same
@@ -729,21 +730,9 @@ impl MpcController {
                 metrics: self.metrics.enabled.then_some(&self.metrics),
                 final_active_set: recording.then_some(&mut final_active_set),
             };
-            match (&ms_nlp, self.use_finite_diff) {
-                (Some(ms), _) => self.solver.solve_cached(ms, &z0, &mut sqp_warm, observer),
-                (None, true) => self
-                    .solver
-                    .solve_observed(&FiniteDiffMpcNlp(&nlp), &z0, observer),
-                (None, false) => self.solver.solve_observed(&nlp, &z0, observer),
-            }
+            self.run_sqp(&nlp, ms_nlp.as_ref(), &z0, &mut sqp_warm, observer)
         } else {
-            match (&ms_nlp, self.use_finite_diff) {
-                (Some(ms), _) => self
-                    .solver
-                    .solve_cached(ms, &z0, &mut sqp_warm, NoopSqpObserver),
-                (None, true) => self.solver.solve(&FiniteDiffMpcNlp(&nlp), &z0),
-                (None, false) => self.solver.solve(&nlp, &z0),
-            }
+            self.run_sqp(&nlp, ms_nlp.as_ref(), &z0, &mut sqp_warm, NoopSqpObserver)
         };
         // Assemble the flight record while the NLP (and its preview) is
         // still alive; uncached rollouts keep the cache-hit diagnostics
@@ -1519,30 +1508,6 @@ impl NlpProblem for MpcNlp<'_> {
 
     fn has_exact_derivatives(&self) -> bool {
         true
-    }
-}
-
-/// Wrapper exposing the same MPC problem *without* the analytic-derivative
-/// overrides, so the solver falls back to central finite differences (the
-/// documented [`NlpProblem`] fallback). Exists for A/B benchmarking and
-/// for regression-testing the derivative speedup claim.
-struct FiniteDiffMpcNlp<'a, 'b>(&'b MpcNlp<'a>);
-
-impl NlpProblem for FiniteDiffMpcNlp<'_, '_> {
-    fn num_vars(&self) -> usize {
-        self.0.num_vars()
-    }
-
-    fn objective(&self, z: &[f64]) -> f64 {
-        self.0.objective(z)
-    }
-
-    fn num_ineq(&self) -> usize {
-        self.0.num_ineq()
-    }
-
-    fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
-        self.0.ineq_constraints(z, out);
     }
 }
 
@@ -2434,13 +2399,11 @@ mod tests {
     }
 
     #[test]
-    fn nlp_advertises_exact_derivatives_and_fd_wrapper_does_not() {
+    fn nlp_advertises_exact_derivatives() {
         let c = mpc();
         let preview = preview_const(5_000.0, 30.0, 24);
         let context = ctx(25.0, 30.0, &preview);
-        let nlp = c.build_nlp(&context);
-        assert!(nlp.has_exact_derivatives());
-        assert!(!FiniteDiffMpcNlp(&nlp).has_exact_derivatives());
+        assert!(c.build_nlp(&context).has_exact_derivatives());
     }
 
     #[test]

@@ -17,10 +17,10 @@
 use std::process::ExitCode;
 
 use ev_core::experiments::{
-    ablation_horizon, ablation_w2, evaluation_sweep_run, fig1, fig5, fig6, fig7_from, fig8_from,
-    full_cycle, render_ablation, render_fig1, render_fig5, render_fig6, render_fig7, render_fig8,
+    ablation_horizon, ablation_w2, fig1, fig5, fig6, fig7_from, fig8_from, full_cycle,
+    render_ablation, render_fig1, render_fig5, render_fig6, render_fig7, render_fig8,
     render_full_cycle, render_robustness, render_sweep_report, render_table1, robustness_sweep,
-    table1, COMPARISON_AMBIENT_C,
+    table1, EvaluationSweep, COMPARISON_AMBIENT_C,
 };
 use ev_drive::DriveCycle;
 
@@ -31,11 +31,9 @@ fn usage() -> &'static str {
 /// The Fig. 7/8 evaluation matrix with telemetry on, so the figures come
 /// with a solver-health run report.
 fn instrumented_sweep() -> ev_core::experiments::SweepResult {
-    evaluation_sweep_run(
-        COMPARISON_AMBIENT_C,
-        &DriveCycle::paper_evaluation_set(),
-        true,
-    )
+    EvaluationSweep::new(COMPARISON_AMBIENT_C, DriveCycle::paper_evaluation_set())
+        .telemetry(true)
+        .run()
 }
 
 fn run(which: &str) -> Result<(), String> {

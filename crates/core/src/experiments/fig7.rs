@@ -1,9 +1,12 @@
 //! Fig. 7 — SoH degradation comparison across drive profiles.
 
+use ev_drive::DriveCycle;
+
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep, SweepCell};
+use super::sweep::{EvaluationSweep, SweepCell};
+use super::COMPARISON_AMBIENT_C;
 
 /// One drive profile's SoH-degradation comparison, normalized to the
 /// On/Off controller = 100 % (the paper's y-axis).
@@ -61,10 +64,14 @@ pub fn fig7_from(cells: &[SweepCell]) -> Vec<Fig7Row> {
 ///
 /// # Panics
 ///
-/// Panics only if built-in simulations fail to construct (they do not).
+/// Panics naming the profile × controller of any cell that fails.
 #[must_use]
 pub fn fig7() -> Vec<Fig7Row> {
-    fig7_from(&evaluation_sweep())
+    fig7_from(
+        &EvaluationSweep::new(COMPARISON_AMBIENT_C, DriveCycle::paper_evaluation_set())
+            .run()
+            .expect_completed(),
+    )
 }
 
 /// Formats the Fig. 7 rows as a text table.
@@ -107,14 +114,14 @@ pub fn render_fig7(rows: &[Fig7Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::evaluation_sweep_at;
-    use ev_drive::DriveCycle;
 
     #[test]
     fn fig7_shape_on_reduced_sweep() {
         // One representative cycle keeps the test fast; the full sweep is
         // exercised by the repro binary and integration tests.
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+        let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece_eudc()])
+            .run()
+            .expect_completed();
         let rows = fig7_from(&cells);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
@@ -133,7 +140,9 @@ mod tests {
 
     #[test]
     fn render_includes_summary_line() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece15()])
+            .run()
+            .expect_completed();
         let rows = fig7_from(&cells);
         let text = render_fig7(&rows);
         assert!(text.contains("average ΔSoH improvement"));

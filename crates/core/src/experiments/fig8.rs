@@ -1,9 +1,12 @@
 //! Fig. 8 — average HVAC power comparison across drive profiles.
 
+use ev_drive::DriveCycle;
+
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep, SweepCell};
+use super::sweep::{EvaluationSweep, SweepCell};
+use super::COMPARISON_AMBIENT_C;
 
 /// One drive profile's average-HVAC-power comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,10 +55,14 @@ pub fn fig8_from(cells: &[SweepCell]) -> Vec<Fig8Row> {
 ///
 /// # Panics
 ///
-/// Panics only if built-in simulations fail to construct (they do not).
+/// Panics naming the profile × controller of any cell that fails.
 #[must_use]
 pub fn fig8() -> Vec<Fig8Row> {
-    fig8_from(&evaluation_sweep())
+    fig8_from(
+        &EvaluationSweep::new(COMPARISON_AMBIENT_C, DriveCycle::paper_evaluation_set())
+            .run()
+            .expect_completed(),
+    )
 }
 
 /// Formats the Fig. 8 rows as a text table.
@@ -97,12 +104,12 @@ pub fn render_fig8(rows: &[Fig8Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::evaluation_sweep_at;
-    use ev_drive::DriveCycle;
 
     #[test]
     fn fig8_shape_on_reduced_sweep() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece_eudc()]);
+        let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece_eudc()])
+            .run()
+            .expect_completed();
         let rows = fig8_from(&cells);
         let r = &rows[0];
         // Paper Fig. 8 ordering: On/Off ≥ fuzzy ≥ ours.
@@ -132,7 +139,9 @@ mod tests {
 
     #[test]
     fn render_includes_reduction_summary() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = EvaluationSweep::new(35.0, vec![DriveCycle::ece15()])
+            .run()
+            .expect_completed();
         let text = render_fig8(&fig8_from(&cells));
         assert!(text.contains("reduction vs On/Off"));
     }

@@ -40,9 +40,8 @@ pub use full_cycle::{full_cycle, render_full_cycle, FullCycleRow};
 pub use plot::ascii_chart;
 pub use robustness::{render_robustness, robustness_sweep, NoisyPreview, RobustnessRow};
 pub use sweep::{
-    evaluation_sweep, evaluation_sweep_at, evaluation_sweep_observed, evaluation_sweep_run,
-    evaluation_sweep_run_recorded, find, render_sweep_report, SweepCell, SweepCellResult,
-    SweepOutcome, SweepResult,
+    find, render_sweep_report, EvaluationSweep, SweepCell, SweepCellResult, SweepOutcome,
+    SweepResult,
 };
 pub use table1::{render_table1, table1, table1_row, Table1Row, TABLE1_AMBIENTS};
 

@@ -12,7 +12,7 @@ use crate::observe::{NoopObserver, StepObserver};
 use crate::telemetry::TelemetryObserver;
 use crate::{ControllerKind, ControllerSetup, Simulation, SimulationResult};
 
-use super::{experiment_params, format_table, profile_at, COMPARISON_AMBIENT_C};
+use super::{experiment_params, format_table, profile_at};
 
 /// One cell of the evaluation matrix: a cycle driven by a controller.
 #[derive(Debug, Clone)]
@@ -23,113 +23,6 @@ pub struct SweepCell {
     pub controller: ControllerKind,
     /// The full simulation result.
     pub result: SimulationResult,
-}
-
-/// Runs the paper's full evaluation matrix — the five standard cycles
-/// {NEDC, US06, ECE_EUDC, SC03, UDDS} × the three methodologies — at the
-/// comparison ambient temperature. Figs. 7 and 8 are both projections of
-/// this matrix.
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep() -> Vec<SweepCell> {
-    evaluation_sweep_at(COMPARISON_AMBIENT_C, &DriveCycle::paper_evaluation_set())
-}
-
-/// The same matrix at an arbitrary ambient and cycle set (used by
-/// Table I and the ablation benches).
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep_at(ambient_c: f64, cycles: &[DriveCycle]) -> Vec<SweepCell> {
-    evaluation_sweep_observed(ambient_c, cycles, |_, _| NoopObserver)
-        .into_iter()
-        .map(|(cell, NoopObserver)| cell)
-        .collect()
-}
-
-/// The evaluation matrix with a [`StepObserver`] attached to every cell,
-/// so callers (the physics-invariant harness in `ev-testkit`, trace
-/// exporters) can watch each simulated step of each cell. `make_observer`
-/// is called once per cell with the profile name and controller kind;
-/// the driven observers are returned alongside their cells.
-///
-/// # Panics
-///
-/// Panics if a simulation cannot be constructed (cannot happen for the
-/// built-in cycles and parameters).
-#[must_use]
-pub fn evaluation_sweep_observed<O, F>(
-    ambient_c: f64,
-    cycles: &[DriveCycle],
-    make_observer: F,
-) -> Vec<(SweepCell, O)>
-where
-    O: StepObserver + Send,
-    F: Fn(&str, ControllerKind) -> O + Sync,
-{
-    let mut params = experiment_params();
-    // The paper compares the steady *regulation* behavior of the three
-    // methodologies (its Fig. 5 traces start settled); start from a
-    // preconditioned cabin so a controller cannot look cheap by simply
-    // failing to pull a soaked cabin into the comfort zone.
-    params.initial_cabin = Some(params.target);
-    // Every cell is independent; fan them out on the bounded fleet pool
-    // so an arbitrarily large matrix (custom cycle sets, ablation
-    // grids) never spawns more OS threads than the machine has cores.
-    let sims: Vec<(String, Simulation)> = cycles
-        .iter()
-        .map(|cycle| {
-            let profile = profile_at(cycle, ambient_c);
-            (
-                cycle.name().to_owned(),
-                Simulation::new(params.clone(), profile).expect("profile non-empty"),
-            )
-        })
-        .collect();
-    let mut identities = Vec::with_capacity(sims.len() * 3);
-    let mut jobs = Vec::with_capacity(sims.len() * 3);
-    for (name, sim) in &sims {
-        for kind in ControllerKind::paper_lineup() {
-            identities.push((name.as_str(), kind));
-            let params = &params;
-            let make_observer = &make_observer;
-            jobs.push(move || {
-                let mut controller = kind.instantiate(params).expect("controller instantiates");
-                let mut observer = make_observer(name, kind);
-                let result = sim
-                    .run_observed(controller.as_mut(), &mut observer)
-                    .expect("simulation runs");
-                (
-                    SweepCell {
-                        profile: name.clone(),
-                        controller: kind,
-                        result,
-                    },
-                    observer,
-                )
-            });
-        }
-    }
-    crate::fleet::run_bounded(crate::fleet::available_workers(), jobs)
-        .into_iter()
-        .zip(identities)
-        .map(|(outcome, (name, kind))| {
-            // A bare `.expect()` here loses which cell died — with up to
-            // 15 identical workers the panic was undiagnosable. Re-panic
-            // with the cell identity and the worker's own message.
-            outcome.unwrap_or_else(|payload| {
-                let msg = panic_message(payload.as_ref());
-                panic!("sweep worker for {name} x {kind:?} panicked: {msg}");
-            })
-        })
-        .collect()
 }
 
 /// How one sweep cell ended.
@@ -159,10 +52,10 @@ impl SweepOutcome {
     }
 }
 
-/// One cell of a robust, instrumented sweep: identity, outcome, solver
-/// diagnostics and a telemetry snapshot.
+/// One cell of an [`EvaluationSweep`] run: identity, outcome, solver
+/// diagnostics, a telemetry snapshot and the cell's step observer.
 #[derive(Debug)]
-pub struct SweepCellResult {
+pub struct SweepCellResult<O = NoopObserver> {
     /// Drive-profile name (e.g. `"NEDC"`).
     pub profile: String,
     /// Which controller drove it.
@@ -179,18 +72,21 @@ pub struct SweepCellResult {
     /// Path of the flight-recorder post-mortem dump written for this
     /// cell, if it failed during a recorded sweep.
     pub postmortem: Option<PathBuf>,
+    /// The step observer [`EvaluationSweep::observe`] made for this cell,
+    /// after the run (`None` if the worker panicked before returning it).
+    pub observer: Option<O>,
 }
 
-/// A full instrumented sweep: every cell, even the failed ones.
+/// A full evaluation sweep: every cell, even the failed ones.
 #[derive(Debug)]
-pub struct SweepResult {
+pub struct SweepResult<O = NoopObserver> {
     /// Ambient temperature the matrix ran at (°C).
     pub ambient_c: f64,
     /// All cells, in cycle-major order.
-    pub cells: Vec<SweepCellResult>,
+    pub cells: Vec<SweepCellResult<O>>,
 }
 
-impl SweepResult {
+impl<O> SweepResult<O> {
     /// Cells that completed, projected onto the plain [`SweepCell`] shape
     /// the figure builders consume.
     #[must_use]
@@ -218,125 +114,230 @@ impl SweepResult {
             })
             .collect()
     }
+
+    /// Every cell as a plain [`SweepCell`], for the figure builders that
+    /// need the whole matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first failed cell's profile × controller and
+    /// its reason.
+    pub(crate) fn expect_completed(&self) -> Vec<SweepCell> {
+        if let Some((profile, controller, reason)) = self.failures().first() {
+            panic!("sweep cell {profile} x {controller:?} failed: {reason}");
+        }
+        self.completed()
+    }
 }
 
-/// Runs the evaluation matrix robustly: every cell is isolated behind
-/// [`catch_unwind`], so one diverging solve or panicking worker yields a
-/// [`SweepOutcome::Failed`] row instead of poisoning the whole sweep.
-/// With `telemetry` on, each cell gets its own [`Registry`] capturing the
-/// controller's solver metrics (via
-/// [`ControllerKind::instantiate_instrumented`]) and the plant-side
-/// [`TelemetryObserver`] stream; off, registries are disabled and the hot
-/// paths stay on their uninstrumented code.
-#[must_use]
-pub fn evaluation_sweep_run(ambient_c: f64, cycles: &[DriveCycle], telemetry: bool) -> SweepResult {
-    evaluation_sweep_run_recorded(ambient_c, cycles, telemetry, None)
-}
-
-/// [`evaluation_sweep_run`] with a flight recorder on every cell. When
-/// `postmortem_dir` is `Some`, each cell records its MPC decisions and
-/// realized plant steps into a bounded ring buffer, and any cell that
-/// fails — simulation error or worker panic — writes its last recorded
-/// window to `<dir>/<profile>_<controller>.jsonl` (readable with
-/// `evsim explain`). With `postmortem_dir = None` the recorders stay
-/// disabled and this is exactly [`evaluation_sweep_run`].
-#[must_use]
-pub fn evaluation_sweep_run_recorded(
+/// The paper's evaluation matrix — every cycle × the three
+/// methodologies of [`ControllerKind::paper_lineup`] at one ambient — and
+/// the one runner for it. Figs. 7 and 8, Table I, the run report and the
+/// physics-invariant harness are all projections of this matrix.
+///
+/// Every cell starts from a preconditioned cabin and runs isolated
+/// behind [`catch_unwind`], so one diverging solve or panicking worker
+/// yields a [`SweepOutcome::Failed`] row naming its profile × controller
+/// instead of poisoning the whole sweep. Cells fan out on the bounded
+/// fleet pool, so an arbitrarily large matrix (custom cycle sets,
+/// ablation grids) never spawns more OS threads than the machine has
+/// cores.
+///
+/// ```no_run
+/// use ev_core::experiments::{EvaluationSweep, COMPARISON_AMBIENT_C};
+/// use ev_drive::DriveCycle;
+///
+/// let sweep = EvaluationSweep::new(COMPARISON_AMBIENT_C, DriveCycle::paper_evaluation_set())
+///     .telemetry(true)
+///     .run();
+/// assert!(sweep.failures().is_empty());
+/// ```
+#[derive(Debug, Clone)]
+pub struct EvaluationSweep<F = fn(&str, ControllerKind) -> NoopObserver> {
     ambient_c: f64,
-    cycles: &[DriveCycle],
+    cycles: Vec<DriveCycle>,
     telemetry: bool,
-    postmortem_dir: Option<&Path>,
-) -> SweepResult {
-    let mut params = experiment_params();
-    // Match `evaluation_sweep_observed`: start from a preconditioned
-    // cabin so the comparison is about regulation, not pull-down.
-    params.initial_cabin = Some(params.target);
-    let sims: Vec<(String, Simulation)> = cycles
-        .iter()
-        .map(|cycle| {
-            let profile = profile_at(cycle, ambient_c);
-            (
-                cycle.name().to_owned(),
-                Simulation::new(params.clone(), profile).expect("profile non-empty"),
-            )
-        })
-        .collect();
-    let mut identities = Vec::with_capacity(sims.len() * 3);
-    let mut jobs = Vec::with_capacity(sims.len() * 3);
-    for (name, sim) in &sims {
-        for kind in ControllerKind::paper_lineup() {
-            identities.push((name.clone(), kind));
-            let params = &params;
-            jobs.push(move || {
-                let registry = Registry::with_enabled(telemetry);
-                let recorder = FlightRecorder::with_enabled(postmortem_dir.is_some());
-                let t0 = std::time::Instant::now();
-                let mut controller = kind
-                    .instantiate_configured(
-                        params,
-                        &ControllerSetup {
-                            telemetry: registry.clone(),
-                            recorder: recorder.clone(),
-                            ..ControllerSetup::default()
-                        },
-                    )
-                    .expect("controller instantiates");
-                let mut observer = (
-                    TelemetryObserver::new(&registry),
-                    FlightRecorderObserver::new(&recorder),
-                );
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    sim.run_observed(controller.as_mut(), &mut observer)
-                }));
-                let outcome = match run {
-                    Ok(Ok(result)) => SweepOutcome::Completed(Box::new(result)),
-                    Ok(Err(err)) => SweepOutcome::Failed(err.to_string()),
-                    Err(payload) => SweepOutcome::Failed(panic_message(payload.as_ref())),
-                };
-                (
-                    outcome,
-                    controller.solver_diagnostics(),
-                    registry.snapshot(),
-                    t0.elapsed().as_secs_f64(),
-                    recorder,
-                )
-            });
+    postmortem_dir: Option<PathBuf>,
+    make_observer: F,
+}
+
+impl EvaluationSweep {
+    /// The matrix of `cycles` at `ambient_c`, with telemetry off, no
+    /// post-mortem dumps and no step observer.
+    #[must_use]
+    pub fn new(ambient_c: f64, cycles: Vec<DriveCycle>) -> Self {
+        Self {
+            ambient_c,
+            cycles,
+            telemetry: false,
+            postmortem_dir: None,
+            make_observer: |_, _| NoopObserver,
         }
     }
-    let cells = crate::fleet::run_bounded(crate::fleet::available_workers(), jobs)
-        .into_iter()
-        .zip(identities)
-        .map(|(worker, (profile, controller))| {
-            // The job caught run-time panics itself; an Err slot means
-            // something outside the guarded region blew up (instantiation).
-            let (outcome, diagnostics, telemetry, wall_seconds, recorder) =
-                worker.unwrap_or_else(|payload| {
-                    (
-                        SweepOutcome::Failed(panic_message(payload.as_ref())),
-                        None,
-                        Snapshot::default(),
-                        0.0,
-                        FlightRecorder::disabled(),
-                    )
+}
+
+impl<F> EvaluationSweep<F> {
+    /// With telemetry on, each cell gets its own [`Registry`] capturing
+    /// the controller's solver metrics and the plant-side
+    /// [`TelemetryObserver`] stream, returned as the cell's snapshot;
+    /// off, registries are disabled and the hot paths stay on their
+    /// uninstrumented code. Telemetry never changes a trajectory.
+    #[must_use]
+    pub fn telemetry(mut self, on: bool) -> Self {
+        self.telemetry = on;
+        self
+    }
+
+    /// Puts a flight recorder on every cell: each records its MPC
+    /// decisions and realized plant steps into a bounded ring buffer, and
+    /// any cell that fails writes its last recorded window to
+    /// `<dir>/<profile>_<controller>.jsonl` (readable with
+    /// `evsim explain`).
+    #[must_use]
+    pub fn postmortem_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.postmortem_dir = Some(dir.into());
+        self
+    }
+
+    /// Attaches a [`StepObserver`] to every cell, so callers (the
+    /// physics-invariant harness in `ev-testkit`, trace exporters) can
+    /// watch each simulated step. `make_observer` is called once per
+    /// cell with the profile name and controller kind; the driven
+    /// observer comes back in [`SweepCellResult::observer`].
+    #[must_use]
+    pub fn observe<G, O>(self, make_observer: G) -> EvaluationSweep<G>
+    where
+        G: Fn(&str, ControllerKind) -> O + Sync,
+        O: StepObserver + Send,
+    {
+        EvaluationSweep {
+            ambient_c: self.ambient_c,
+            cycles: self.cycles,
+            telemetry: self.telemetry,
+            postmortem_dir: self.postmortem_dir,
+            make_observer,
+        }
+    }
+
+    /// Runs every cell and returns them all, failed ones included, in
+    /// cycle-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a simulation cannot be constructed (cannot happen for
+    /// the built-in cycles and parameters).
+    #[must_use]
+    pub fn run<O>(&self) -> SweepResult<O>
+    where
+        F: Fn(&str, ControllerKind) -> O + Sync,
+        O: StepObserver + Send,
+    {
+        let mut params = experiment_params();
+        // The paper compares the steady *regulation* behavior of the
+        // three methodologies (its Fig. 5 traces start settled); start
+        // from a preconditioned cabin so a controller cannot look cheap
+        // by simply failing to pull a soaked cabin into the comfort zone.
+        params.initial_cabin = Some(params.target);
+        let sims: Vec<(String, Simulation)> = self
+            .cycles
+            .iter()
+            .map(|cycle| {
+                let profile = profile_at(cycle, self.ambient_c);
+                (
+                    cycle.name().to_owned(),
+                    Simulation::new(params.clone(), profile).expect("profile non-empty"),
+                )
+            })
+            .collect();
+        let recording = self.postmortem_dir.is_some();
+        let mut identities = Vec::with_capacity(sims.len() * 3);
+        let mut jobs = Vec::with_capacity(sims.len() * 3);
+        for (name, sim) in &sims {
+            for kind in ControllerKind::paper_lineup() {
+                identities.push((name.clone(), kind));
+                let params = &params;
+                jobs.push(move || {
+                    let registry = Registry::with_enabled(self.telemetry);
+                    let recorder = FlightRecorder::with_enabled(recording);
+                    let t0 = std::time::Instant::now();
+                    let mut controller = kind
+                        .instantiate_configured(
+                            params,
+                            &ControllerSetup {
+                                telemetry: registry.clone(),
+                                recorder: recorder.clone(),
+                                ..ControllerSetup::default()
+                            },
+                        )
+                        .expect("controller instantiates");
+                    let mut observer = (
+                        (
+                            TelemetryObserver::new(&registry),
+                            FlightRecorderObserver::new(&recorder),
+                        ),
+                        (self.make_observer)(name, kind),
+                    );
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        sim.run_observed(controller.as_mut(), &mut observer)
+                    }));
+                    let outcome = match run {
+                        Ok(Ok(result)) => SweepOutcome::Completed(Box::new(result)),
+                        Ok(Err(err)) => SweepOutcome::Failed(err.to_string()),
+                        Err(payload) => SweepOutcome::Failed(panic_message(payload.as_ref())),
+                    };
+                    let cell = SweepCellResult {
+                        profile: name.clone(),
+                        controller: kind,
+                        outcome,
+                        diagnostics: controller.solver_diagnostics(),
+                        telemetry: registry.snapshot(),
+                        wall_seconds: t0.elapsed().as_secs_f64(),
+                        postmortem: None,
+                        observer: Some(observer.1),
+                    };
+                    (cell, recorder)
                 });
-            let postmortem = match (&outcome, postmortem_dir) {
-                (SweepOutcome::Failed(reason), Some(dir)) => {
-                    write_cell_postmortem(dir, &profile, controller, reason, &recorder)
-                }
-                _ => None,
-            };
-            SweepCellResult {
-                profile,
-                controller,
-                outcome,
-                diagnostics,
-                telemetry,
-                wall_seconds,
-                postmortem,
             }
-        })
-        .collect();
-    SweepResult { ambient_c, cells }
+        }
+        let cells = crate::fleet::run_bounded(crate::fleet::available_workers(), jobs)
+            .into_iter()
+            .zip(identities)
+            .map(|(worker, (profile, controller))| {
+                // The job caught run-time panics itself; an Err slot means
+                // something outside the guarded region blew up
+                // (instantiation or the observer factory).
+                let (mut cell, recorder) = worker.unwrap_or_else(|payload| {
+                    let cell = SweepCellResult {
+                        profile,
+                        controller,
+                        outcome: SweepOutcome::Failed(panic_message(payload.as_ref())),
+                        diagnostics: None,
+                        telemetry: Snapshot::default(),
+                        wall_seconds: 0.0,
+                        postmortem: None,
+                        observer: None,
+                    };
+                    (cell, FlightRecorder::disabled())
+                });
+                if let (SweepOutcome::Failed(reason), Some(dir)) =
+                    (&cell.outcome, &self.postmortem_dir)
+                {
+                    cell.postmortem = write_cell_postmortem(
+                        dir,
+                        &cell.profile,
+                        cell.controller,
+                        reason,
+                        &recorder,
+                    );
+                }
+                cell
+            })
+            .collect();
+        SweepResult {
+            ambient_c: self.ambient_c,
+            cells,
+        }
+    }
 }
 
 /// Dumps a failed cell's flight-recorder window to
@@ -380,7 +381,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// golden-snapshot tests rely on this). Failed cells repeat their reason
 /// below the table, naming the post-mortem dump when one was written.
 #[must_use]
-pub fn render_sweep_report(sweep: &SweepResult, include_timings: bool) -> String {
+pub fn render_sweep_report<O>(sweep: &SweepResult<O>, include_timings: bool) -> String {
     let dash = || "-".to_owned();
     let fmt_rate = |x: f64| {
         if x.is_nan() {
@@ -493,9 +494,13 @@ pub fn find<'a>(
 mod tests {
     use super::*;
 
+    fn ece15() -> EvaluationSweep {
+        EvaluationSweep::new(35.0, vec![DriveCycle::ece15()])
+    }
+
     #[test]
     fn single_cycle_sweep_has_all_controllers() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
+        let cells = ece15().run().completed();
         assert_eq!(cells.len(), 3);
         assert!(find(&cells, "ECE-15", ControllerKind::OnOff).is_some());
         assert!(find(&cells, "ECE-15", ControllerKind::Fuzzy).is_some());
@@ -505,7 +510,7 @@ mod tests {
 
     #[test]
     fn instrumented_sweep_reports_solver_and_plant_metrics() {
-        let sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], true);
+        let sweep = ece15().telemetry(true).run();
         assert_eq!(sweep.cells.len(), 3);
         assert!(sweep.failures().is_empty());
         assert_eq!(sweep.completed().len(), 3);
@@ -539,7 +544,7 @@ mod tests {
 
     #[test]
     fn untelemetered_sweep_has_empty_snapshots_but_diagnostics() {
-        let sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false);
+        let sweep = ece15().run();
         for cell in &sweep.cells {
             assert!(cell.telemetry.is_empty());
         }
@@ -554,7 +559,7 @@ mod tests {
 
     #[test]
     fn sweep_report_renders_all_cells() {
-        let sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], true);
+        let sweep = ece15().telemetry(true).run();
         let with_timings = render_sweep_report(&sweep, true);
         assert!(with_timings.contains("MPC"));
         assert!(with_timings.contains("p99 step"));
@@ -571,7 +576,7 @@ mod tests {
 
     #[test]
     fn mixed_outcome_report_lists_failures_and_postmortems() {
-        let mut sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false);
+        let mut sweep = ece15().run();
         // Append synthetic failed cells: a panicked rule-based worker
         // (no diagnostics, no dump) and an errored MPC cell whose
         // post-mortem was written.
@@ -583,6 +588,7 @@ mod tests {
             telemetry: Snapshot::default(),
             wall_seconds: 0.0,
             postmortem: None,
+            observer: None,
         });
         sweep.cells.push(SweepCellResult {
             profile: "ECE-15".to_owned(),
@@ -600,6 +606,7 @@ mod tests {
             telemetry: Snapshot::default(),
             wall_seconds: 0.1,
             postmortem: Some(PathBuf::from("target/flight/ECE-15_Mpc.jsonl")),
+            observer: None,
         });
         let report = render_sweep_report(&sweep, false);
         // Header block + one row per cell + one trailing line per failure.
@@ -623,6 +630,44 @@ mod tests {
     }
 
     #[test]
+    fn observers_come_back_with_their_cells() {
+        #[derive(Debug, Default)]
+        struct CountSteps(usize);
+        impl StepObserver for CountSteps {
+            fn on_step(&mut self, _: &crate::StepRecord) {
+                self.0 += 1;
+            }
+        }
+        let sweep = ece15().observe(|_, _| CountSteps::default()).run();
+        for cell in &sweep.cells {
+            let steps = cell.outcome.result().expect("completed").series.t.len();
+            assert_eq!(cell.observer.as_ref().expect("observer returned").0, steps);
+        }
+    }
+
+    #[test]
+    fn failed_cell_names_its_profile_and_controller() {
+        let sweep = ece15()
+            .observe(|_, kind| {
+                assert!(kind != ControllerKind::Mpc, "observer refused");
+                NoopObserver
+            })
+            .run();
+        assert_eq!(
+            sweep.failures(),
+            vec![("ECE-15", ControllerKind::Mpc, "observer refused")]
+        );
+        assert_eq!(sweep.completed().len(), 2);
+        let msg = catch_unwind(AssertUnwindSafe(|| sweep.expect_completed()))
+            .map(|_| ())
+            .expect_err("a failed cell must not pass as completed");
+        assert_eq!(
+            panic_message(msg.as_ref()),
+            "sweep cell ECE-15 x Mpc failed: observer refused"
+        );
+    }
+
+    #[test]
     fn healthy_recorded_sweep_writes_no_postmortems() {
         let dir = std::env::temp_dir().join(format!(
             "ev-sweep-postmortem-{}-{:?}",
@@ -630,7 +675,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let sweep = evaluation_sweep_run_recorded(35.0, &[DriveCycle::ece15()], false, Some(&dir));
+        let sweep = ece15().postmortem_dir(&dir).run();
         assert!(sweep.failures().is_empty());
         assert!(sweep.cells.iter().all(|c| c.postmortem.is_none()));
         // No dump means the directory is never created.

@@ -6,7 +6,7 @@ use ev_drive::DriveCycle;
 use crate::ControllerKind;
 
 use super::format_table;
-use super::sweep::{evaluation_sweep_at, find};
+use super::sweep::{find, EvaluationSweep};
 
 /// One ambient-temperature row of Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +33,7 @@ pub const TABLE1_AMBIENTS: [f64; 6] = [43.0, 35.0, 32.0, 21.0, 10.0, 0.0];
 ///
 /// # Panics
 ///
-/// Panics only if built-in simulations fail to construct (they do not).
+/// Panics naming the profile × controller of any cell that fails.
 #[must_use]
 pub fn table1() -> Vec<Table1Row> {
     TABLE1_AMBIENTS
@@ -46,10 +46,12 @@ pub fn table1() -> Vec<Table1Row> {
 ///
 /// # Panics
 ///
-/// Panics only if built-in simulations fail to construct (they do not).
+/// Panics naming the profile × controller of any cell that fails.
 #[must_use]
 pub fn table1_row(ambient_c: f64) -> Table1Row {
-    let cells = evaluation_sweep_at(ambient_c, &[DriveCycle::ece_eudc()]);
+    let cells = EvaluationSweep::new(ambient_c, vec![DriveCycle::ece_eudc()])
+        .run()
+        .expect_completed();
     let metric = |kind: ControllerKind| {
         let m = find(&cells, "ECE_EUDC", kind)
             .expect("sweep contains every cell")

@@ -35,6 +35,8 @@ impl<T> TryPushError<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Producers blocked inside [`BoundedQueue::push`] right now.
+    parked: usize,
 }
 
 /// A blocking bounded MPMC queue. See the module docs for the
@@ -60,6 +62,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked: 0,
             }),
             capacity,
             not_full: Condvar::new(),
@@ -89,6 +92,18 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
+    /// Number of producers parked in [`push`](Self::push) waiting for a
+    /// slot (racy, diagnostics only). A producer counts from the moment
+    /// it starts waiting until it wakes to a free slot or a closed queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned.
+    #[must_use]
+    pub fn parked_producers(&self) -> usize {
+        self.state.lock().expect("queue lock poisoned").parked
+    }
+
     /// Enqueues `item`, **parking** (blocking) while the queue is full.
     /// On success reports whether the caller had to park — `Ok(true)`
     /// means the queue was full and this push waited for a slot, the
@@ -104,10 +119,13 @@ impl<T> BoundedQueue<T> {
     /// Panics if the internal lock is poisoned.
     pub fn push(&self, item: T) -> Result<bool, T> {
         let mut state = self.state.lock().expect("queue lock poisoned");
-        let mut parked = false;
-        while state.items.len() >= self.capacity && !state.closed {
-            parked = true;
-            state = self.not_full.wait(state).expect("queue lock poisoned");
+        let parked = state.items.len() >= self.capacity && !state.closed;
+        if parked {
+            state.parked += 1;
+            while state.items.len() >= self.capacity && !state.closed {
+                state = self.not_full.wait(state).expect("queue lock poisoned");
+            }
+            state.parked -= 1;
         }
         if state.closed {
             return Err(item);
@@ -187,6 +205,16 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Blocks until `n` producers are parked on `q`. The count changes
+    /// under the queue lock right before a producer waits, so once it is
+    /// seen the producer is inside `push` and will observe whatever the
+    /// caller does next.
+    fn wait_until_parked<T>(q: &BoundedQueue<T>, n: usize) {
+        while q.parked_producers() < n {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn fifo_order_within_one_producer() {
         let q = BoundedQueue::new(8);
@@ -220,8 +248,10 @@ mod tests {
             thread::spawn(move || q.push(1).unwrap())
         };
         // The producer is parked on the full queue; popping releases it.
+        wait_until_parked(&q, 1);
         assert_eq!(q.pop(), Some(0));
         assert!(producer.join().unwrap(), "full queue: push reports parking");
+        assert_eq!(q.parked_producers(), 0);
         assert_eq!(q.pop(), Some(1));
     }
 
@@ -233,10 +263,11 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push(7))
         };
-        // Give the producer a chance to park, then close underneath it.
-        thread::yield_now();
+        // Close underneath the parked producer.
+        wait_until_parked(&q, 1);
         q.close();
         assert_eq!(producer.join().unwrap(), Err(7));
+        assert_eq!(q.parked_producers(), 0);
     }
 
     #[test]

@@ -95,10 +95,11 @@ pub struct LoadgenReport {
     pub steps_per_second: f64,
     /// Sessions served per available core.
     pub sessions_per_core: f64,
-    /// Median MPC control-step latency (milliseconds; NaN when the
-    /// controller records no solve timings).
+    /// Median MPC solve latency (milliseconds; NaN when the controller
+    /// records no solve timings). Counts only control calls that ran the
+    /// optimizer, not the held-input steps between re-solves.
     pub p50_solve_ms: f64,
-    /// 99th-percentile MPC control-step latency (milliseconds).
+    /// 99th-percentile MPC solve latency (milliseconds).
     pub p99_solve_ms: f64,
     /// Shards the engine ran with.
     pub shards: usize,
@@ -275,7 +276,7 @@ pub fn run_loadgen_traced(
     // MPC metrics are per-shard labeled series now; quantiles and
     // totals come from the label-merged aggregates.
     let (p50, p99) = snapshot
-        .histogram_merged("mpc_control_step_seconds")
+        .histogram_merged("mpc_solve_seconds")
         .map_or((f64::NAN, f64::NAN), |h| {
             (h.quantile(0.5) * 1e3, h.quantile(0.99) * 1e3)
         });
@@ -464,6 +465,13 @@ mod tests {
         // MPC solve-outcome counters are per-shard too.
         assert!(snap.counter_sum("mpc_solves_total").unwrap_or(0) > 0);
         assert!(snap.counter("mpc_solves_total").is_none());
+        // The report's solve quantiles are solve latencies, not
+        // control-step latencies (most steps hold the last input).
+        let solves = snap
+            .histogram_merged("mpc_solve_seconds")
+            .expect("solve latency recorded");
+        assert_eq!(report.p50_solve_ms, solves.quantile(0.5) * 1e3);
+        assert_eq!(report.p99_solve_ms, solves.quantile(0.99) * 1e3);
     }
 
     #[test]

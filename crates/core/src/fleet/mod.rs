@@ -8,7 +8,7 @@
 //! * [`BoundedQueue`] — MPMC command queue with explicit backpressure
 //!   (`push` parks, `try_push` sheds; capacity is a hard bound);
 //! * [`run_bounded`] — scoped worker pool that replaced the
-//!   thread-per-cell fan-out in [`crate::experiments::sweep`];
+//!   thread-per-cell fan-out in [`crate::experiments::EvaluationSweep`];
 //! * [`Slab`] — stable-key arena for per-shard session state;
 //! * [`VehicleSession`] — one vehicle's plant + exclusively-owned
 //!   controller (the warm-start isolation boundary);

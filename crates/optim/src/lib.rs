@@ -31,7 +31,7 @@
 //! let problem = QpProblem::new(h, g)?
 //!     .with_equalities(Matrix::from_rows(&[&[1.0, 1.0]]).unwrap(), vec![2.0])?
 //!     .with_inequalities(Matrix::from_rows(&[&[1.0, 0.0]]).unwrap(), vec![0.25])?;
-//! let sol = QpSolver::default().solve(&problem)?;
+//! let sol = QpSolver::default().solve(&problem.as_view(), None, None)?;
 //! assert!((sol.z[0] - 0.25).abs() < 1e-5);
 //! assert!((sol.z[1] - 1.75).abs() < 1e-5);
 //! # Ok(())

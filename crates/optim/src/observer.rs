@@ -1,7 +1,7 @@
 //! Per-iteration observation of the SQP solver.
 //!
 //! [`SqpObserver`] is the solver-level analogue of ev-core's
-//! `StepObserver`: [`crate::SqpSolver::solve_observed`] calls
+//! `StepObserver`: [`crate::SqpSolver::solve`] calls
 //! [`SqpObserver::on_iteration`] once per major iteration with the merit
 //! value, step length, KKT/constraint residuals, QP subproblem status and
 //! timing, and the active-set size. Observation is strictly read-only —
@@ -11,8 +11,8 @@
 //! The [`SqpObserver::active`] gate lets the solver skip assembling a
 //! record (including the `Instant::now()` reads around the QP solve and
 //! the extra stationarity-residual matvecs) when nobody is listening;
-//! [`NoopSqpObserver`] reports inactive, so the plain
-//! [`crate::SqpSolver::solve`] entry point monomorphizes to the exact
+//! [`NoopSqpObserver`] reports inactive, so
+//! [`crate::SqpSolver::solve`] with it monomorphizes to the exact
 //! pre-instrumentation hot loop.
 
 /// How the QP subproblem of one SQP iteration was obtained.

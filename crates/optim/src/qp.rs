@@ -295,7 +295,7 @@ impl QpProblem {
 /// let a = Matrix::from_rows(&[&[1.0]]).unwrap();
 /// let b = [1.0];
 /// let view = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
-/// let sol = QpSolver::default().solve_view(&view)?;
+/// let sol = QpSolver::default().solve(&view, None, None)?;
 /// assert!((sol.z[0] - 1.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
@@ -565,8 +565,7 @@ pub struct QpSolution {
     pub kkt_backend: QpKktBackend,
 }
 
-/// Reusable interior-point warm-start state for
-/// [`QpSolver::solve_view_warm`].
+/// Reusable interior-point warm-start state for [`QpSolver::solve`].
 ///
 /// Holds the inequality multipliers of the last successful solve; a
 /// receding-horizon caller keeps one of these alive across control steps
@@ -647,7 +646,7 @@ impl Default for QpSolverOptions {
 ///     &[1.0, 0.0], &[-1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0],
 /// ]).unwrap();
 /// let p = QpProblem::new(h, g)?.with_inequalities(a, vec![1.0; 4])?;
-/// let sol = QpSolver::default().solve(&p)?;
+/// let sol = QpSolver::default().solve(&p.as_view(), None, None)?;
 /// assert!((sol.z[0] - 1.0).abs() < 1e-6);
 /// assert!(sol.z[1].abs() < 1e-6);
 /// # Ok(())
@@ -671,86 +670,36 @@ impl QpSolver {
         &self.options
     }
 
-    /// Solves the QP starting from the origin.
+    /// Solves the QP behind `problem` — the one entry point for owned
+    /// problems (through [`QpProblem::as_view`]) and borrowed views alike.
+    ///
+    /// `z0` is the primal start point (the origin when `None`). `warm`,
+    /// when supplied, seeds the interior-point duals from the multipliers
+    /// of the last successful solve through the same cache and deposits
+    /// the converged multipliers back into it. Successive QP subproblems
+    /// of a receding-horizon controller share their active set almost
+    /// verbatim, so restarting from the previous multipliers instead of
+    /// the cold `(s, λ) = (max(b − Cz, 1), 1)` point typically more than
+    /// halves the iteration count. The warm data is only an initial guess
+    /// — the solver still iterates to the same KKT tolerance, so a stale
+    /// or mismatched cache costs iterations, never correctness (a cache
+    /// whose dimension does not match `num_ineq` is ignored entirely).
     ///
     /// # Errors
     ///
     /// Returns [`OptimError::QpMaxIterations`] when the KKT residuals do
     /// not meet tolerance within the iteration budget (typically an
-    /// infeasible or unbounded problem) and propagates factorization
-    /// failures as [`OptimError::Linalg`].
-    pub fn solve(&self, problem: &QpProblem) -> Result<QpSolution, OptimError> {
-        let z0 = vec![0.0; problem.num_vars()];
-        self.solve_from(problem, &z0)
-    }
-
-    /// Solves the QP from a warm-start primal point `z0`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve`]; additionally returns
-    /// [`OptimError::DimensionMismatch`] if `z0.len() != num_vars()`.
-    pub fn solve_from(&self, problem: &QpProblem, z0: &[f64]) -> Result<QpSolution, OptimError> {
-        self.solve_view_from(&problem.as_view(), z0)
-    }
-
-    /// Solves a borrowed-view QP starting from the origin (the
-    /// allocation-free entry point used by the SQP hot loop).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve`].
-    pub fn solve_view(&self, view: &QpView<'_>) -> Result<QpSolution, OptimError> {
-        let z0 = vec![0.0; view.num_vars()];
-        self.solve_view_from(view, z0.as_slice())
-    }
-
-    /// Solves a borrowed-view QP from a warm-start primal point `z0`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve_from`].
-    pub fn solve_view_from(
+    /// infeasible or unbounded problem), [`OptimError::DimensionMismatch`]
+    /// if `z0.len() != num_vars()`, and propagates factorization failures
+    /// as [`OptimError::Linalg`].
+    pub fn solve(
         &self,
         problem: &QpView<'_>,
-        z0: &[f64],
-    ) -> Result<QpSolution, OptimError> {
-        self.solve_view_inner(problem, z0, None)
-    }
-
-    /// Solves a borrowed-view QP from a warm-start primal point `z0`,
-    /// seeding the interior-point duals from `warm` and depositing the
-    /// converged multipliers back into it on success.
-    ///
-    /// Successive QP subproblems of a receding-horizon controller share
-    /// their active set almost verbatim, so restarting the interior-point
-    /// method from the previous multipliers instead of the cold
-    /// `(s, λ) = (max(b − Cz, 1), 1)` point typically more than halves the
-    /// iteration count. The warm data is only an initial guess — the
-    /// solver still iterates to the same KKT tolerance, so a stale or
-    /// mismatched cache costs iterations, never correctness (a cache whose
-    /// dimension does not match `num_ineq` is ignored entirely).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpSolver::solve_from`].
-    pub fn solve_view_warm(
-        &self,
-        problem: &QpView<'_>,
-        z0: &[f64],
-        warm: &mut QpWarmStart,
-    ) -> Result<QpSolution, OptimError> {
-        self.solve_view_inner(problem, z0, Some(warm))
-    }
-
-    fn solve_view_inner(
-        &self,
-        problem: &QpView<'_>,
-        z0: &[f64],
+        z0: Option<&[f64]>,
         mut warm: Option<&mut QpWarmStart>,
     ) -> Result<QpSolution, OptimError> {
         let n = problem.num_vars();
-        if z0.len() != n {
+        if z0.is_some_and(|z0| z0.len() != n) {
             return Err(OptimError::DimensionMismatch { what: "z0 vs H" });
         }
         let me = problem.num_eq();
@@ -763,7 +712,7 @@ impl QpSolver {
 
         let a_in = problem.a_in_ref().expect("mi > 0 implies A_in");
         let a_eq = problem.a_eq_ref();
-        let mut z = z0.to_vec();
+        let mut z = z0.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
         let mut y = vec![0.0; me];
 
         // Per-solve workspaces: everything the interior-point loop touches
@@ -1590,7 +1539,9 @@ mod tests {
     use super::*;
 
     fn solve(p: &QpProblem) -> QpSolution {
-        QpSolver::default().solve(p).expect("qp should solve")
+        QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .expect("qp should solve")
     }
 
     #[test]
@@ -1719,7 +1670,9 @@ mod tests {
             .unwrap()
             .with_inequalities(a, vec![0.0, -1.0])
             .unwrap();
-        let err = QpSolver::default().solve(&p).unwrap_err();
+        let err = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1738,7 +1691,9 @@ mod tests {
             .unwrap()
             .with_inequalities(a, vec![0.0])
             .unwrap();
-        let err = QpSolver::default().solve(&p).unwrap_err();
+        let err = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1774,9 +1729,13 @@ mod tests {
             .unwrap()
             .with_inequalities(Matrix::from_rows(&[&[1.0]]).unwrap(), vec![1.0])
             .unwrap();
-        let sol = QpSolver::default().solve_from(&p, &[0.9]).unwrap();
+        let sol = QpSolver::default()
+            .solve(&p.as_view(), Some(&[0.9]), None)
+            .unwrap();
         assert!((sol.z[0] - 1.0).abs() < 1e-6);
-        assert!(QpSolver::default().solve_from(&p, &[0.0, 0.0]).is_err());
+        assert!(QpSolver::default()
+            .solve(&p.as_view(), Some(&[0.0, 0.0]), None)
+            .is_err());
     }
 
     #[test]
@@ -1790,13 +1749,13 @@ mod tests {
             tolerance: 1e-10,
             ..QpSolverOptions::default()
         })
-        .solve(&p)
+        .solve(&p.as_view(), None, None)
         .unwrap();
         let loose = QpSolver::new(QpSolverOptions {
             tolerance: 1e-4,
             ..QpSolverOptions::default()
         })
-        .solve(&p)
+        .solve(&p.as_view(), None, None)
         .unwrap();
         assert!(loose.iterations <= tight.iterations);
         // Both still land on the right active set.
@@ -1813,7 +1772,7 @@ mod tests {
             .unwrap()
             .with_inequalities(a, vec![1.0; 4])
             .unwrap();
-        let sol = QpSolver::default().solve(&p).unwrap();
+        let sol = QpSolver::default().solve(&p.as_view(), None, None).unwrap();
         // min z0 − 2 z1 over [−1,1]² → (−1, 1).
         assert!((sol.z[0] + 1.0).abs() < 1e-4, "{:?}", sol.z);
         assert!((sol.z[1] - 1.0).abs() < 1e-4);
@@ -1926,7 +1885,7 @@ mod tests {
             prefer_dense_cholesky: true,
             ..QpSolverOptions::default()
         })
-        .solve_view(&view)
+        .solve(&view, None, None)
         .unwrap();
         assert_eq!(sparse_sol.kkt_backend, QpKktBackend::DenseCholesky);
         for (zs, zd) in sparse_sol.z.iter().zip(&dense_sol.z) {
@@ -1959,7 +1918,7 @@ mod tests {
                     .unwrap();
             }
             let banded_sol = QpSolver::default()
-                .solve_view(&view.with_structure(structure))
+                .solve(&view.with_structure(structure), None, None)
                 .unwrap();
             let oracle_sol = solve(&oracle);
             assert_eq!(banded_sol.kkt_backend, QpKktBackend::Banded);
@@ -1992,7 +1951,7 @@ mod tests {
                 eq_per_block: 0,
                 lookback: 1,
             });
-        let sol = QpSolver::default().solve_view(&view).unwrap();
+        let sol = QpSolver::default().solve(&view, None, None).unwrap();
         assert_ne!(sol.kkt_backend, QpKktBackend::Banded);
         for (i, &zi) in sol.z.iter().enumerate() {
             assert!((-1.5 - 1e-6..=1.5 + 1e-6).contains(&zi), "z[{i}] = {zi}");
@@ -2020,7 +1979,7 @@ mod tests {
                 eq_per_block: 0,
                 lookback: 1,
             });
-        let sol = QpSolver::default().solve_view(&view).unwrap();
+        let sol = QpSolver::default().solve(&view, None, None).unwrap();
         assert_ne!(sol.kkt_backend, QpKktBackend::Banded);
     }
 

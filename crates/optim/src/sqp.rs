@@ -2,7 +2,7 @@
 
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
-use crate::observer::{NoopSqpObserver, QpSubproblemStatus, SqpIterationRecord, SqpObserver};
+use crate::observer::{QpSubproblemStatus, SqpIterationRecord, SqpObserver};
 use crate::{
     NlpProblem, OptimError, QpProblem, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart,
 };
@@ -108,7 +108,7 @@ impl SqpResult {
 /// # Examples
 ///
 /// ```
-/// use ev_optim::{NlpProblem, SqpSolver};
+/// use ev_optim::{NlpProblem, NoopSqpObserver, SqpSolver};
 ///
 /// /// min (z0−2)² + z1², s.t. z0 ≤ 1.
 /// struct P;
@@ -120,7 +120,7 @@ impl SqpResult {
 /// }
 ///
 /// # fn main() -> Result<(), ev_optim::OptimError> {
-/// let result = SqpSolver::default().solve(&P, &[0.0, 0.5])?;
+/// let result = SqpSolver::default().solve(&P, &[0.0, 0.5], None, NoopSqpObserver)?;
 /// assert!(result.is_converged());
 /// assert!((result.z[0] - 1.0).abs() < 1e-5);
 /// assert!(result.z[1].abs() < 1e-5);
@@ -145,7 +145,28 @@ impl SqpSolver {
         &self.options
     }
 
-    /// Solves the nonlinear program starting from `z0`.
+    /// Solves the nonlinear program starting from `z0` — the one entry
+    /// point, whether or not the caller observes iterations or carries
+    /// QP multipliers across solves.
+    ///
+    /// `qp_warm` restarts every QP subproblem's interior-point method from
+    /// the multipliers cached in it (see [`QpSolver::solve`]) and deposits
+    /// each subproblem's converged multipliers back. A receding-horizon
+    /// caller keeps one [`QpWarmStart`] alive across control steps:
+    /// consecutive subproblems share their active set, so the cached
+    /// multipliers typically cut the interior-point iteration count by
+    /// more than half. With `None` every subproblem starts cold. The two
+    /// are not interchangeable even on a first solve: an empty cache
+    /// still carries multipliers from one subproblem to the next *within*
+    /// the solve, so callers that pin bit-exact cold trajectories must
+    /// pass `None`. The cache changes only the QP's starting point, never
+    /// its convergence tolerance.
+    ///
+    /// `observer` receives one [`SqpIterationRecord`] per major
+    /// iteration. Observation is read-only: the iterate path is the same
+    /// for every observer. When [`SqpObserver::active`] is `false` (as
+    /// for [`NoopSqpObserver`](crate::NoopSqpObserver)) no record is
+    /// assembled and no clock is read, so the hook costs nothing.
     ///
     /// # Errors
     ///
@@ -153,61 +174,7 @@ impl SqpSolver {
     /// match the problem, [`OptimError::NonFiniteData`] if the objective or
     /// constraints return non-finite values at `z0`, and propagates
     /// structural QP failures.
-    pub fn solve<P: NlpProblem + ?Sized>(
-        &self,
-        problem: &P,
-        z0: &[f64],
-    ) -> Result<SqpResult, OptimError> {
-        self.solve_observed(problem, z0, NoopSqpObserver)
-    }
-
-    /// Solves the nonlinear program starting from `z0`, reporting one
-    /// [`SqpIterationRecord`] per major iteration to `observer`.
-    ///
-    /// Observation is read-only: the iterate path is bit-identical to
-    /// [`SqpSolver::solve`]. When [`SqpObserver::active`] is `false`
-    /// (as for [`NoopSqpObserver`]) no record is assembled and no clock
-    /// is read, so the hook costs nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SqpSolver::solve`].
-    pub fn solve_observed<P: NlpProblem + ?Sized, O: SqpObserver>(
-        &self,
-        problem: &P,
-        z0: &[f64],
-        observer: O,
-    ) -> Result<SqpResult, OptimError> {
-        self.solve_inner(problem, z0, None, observer)
-    }
-
-    /// Solves the nonlinear program like [`SqpSolver::solve_observed`],
-    /// additionally restarting every QP subproblem's interior-point method
-    /// from the multipliers cached in `warm` (see
-    /// [`QpSolver::solve_view_warm`]).
-    ///
-    /// A receding-horizon caller keeps the [`QpWarmStart`] alive across
-    /// control steps: consecutive subproblems share their active set, so
-    /// the cached multipliers typically cut the interior-point iteration
-    /// count by more than half. The cache changes only the QP's starting
-    /// point, never its convergence tolerance — but because the iterate
-    /// *path* differs from a cold solve, callers that pin bit-exact
-    /// trajectories should use [`SqpSolver::solve_observed`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SqpSolver::solve`].
-    pub fn solve_cached<P: NlpProblem + ?Sized, O: SqpObserver>(
-        &self,
-        problem: &P,
-        z0: &[f64],
-        warm: &mut QpWarmStart,
-        observer: O,
-    ) -> Result<SqpResult, OptimError> {
-        self.solve_inner(problem, z0, Some(warm), observer)
-    }
-
-    fn solve_inner<P: NlpProblem + ?Sized, O: SqpObserver>(
+    pub fn solve<P: NlpProblem + ?Sized, O: SqpObserver>(
         &self,
         problem: &P,
         z0: &[f64],
@@ -582,11 +549,7 @@ impl SqpSolver {
         if let Some(st) = structure {
             qp = qp.with_structure(st);
         }
-        let origin = vec![0.0; n];
-        let first = match match qp_warm.as_deref_mut() {
-            Some(w) => qp_solver.solve_view_warm(&qp, &origin, w),
-            None => qp_solver.solve_view(&qp),
-        } {
+        let first = match qp_solver.solve(&qp, None, qp_warm.as_deref_mut()) {
             Ok(sol) => {
                 return Ok((
                     sol.z,
@@ -608,10 +571,7 @@ impl SqpSolver {
                 let mut boosted = *qp_solver.options();
                 boosted.regularization = boosted.regularization.max(1e-12) * 1e6;
                 let retry = QpSolver::new(boosted);
-                if let Ok(sol) = match qp_warm.as_mut() {
-                    Some(w) => retry.solve_view_warm(&qp, &origin, w),
-                    None => retry.solve_view(&qp),
-                } {
+                if let Ok(sol) = retry.solve(&qp, None, qp_warm) {
                     return Ok((
                         sol.z,
                         sol.y_eq,
@@ -698,7 +658,7 @@ impl SqpSolver {
                 let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
                 let a_in = Matrix::from_rows(&refs).expect("elastic rows rectangular");
                 let eqp = QpProblem::new(h, g)?.with_inequalities(a_in, rhs)?;
-                let sol = qp_solver.solve(&eqp)?;
+                let sol = qp_solver.solve(&eqp.as_view(), None, None)?;
                 // Map the multipliers of the elasticized rows back to the
                 // original constraints: the first 2·me rows correspond to
                 // the ±equality pair, the next mi to the inequalities.
@@ -842,6 +802,7 @@ fn bfgs_update_block(b: &mut Matrix, s: &[f64], y: &[f64], lo: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NoopSqpObserver;
 
     struct Rosenbrock;
     impl NlpProblem for Rosenbrock {
@@ -918,7 +879,7 @@ mod tests {
             ..SqpOptions::default()
         };
         let r = SqpSolver::new(opts)
-            .solve(&Rosenbrock, &[-1.2, 1.0])
+            .solve(&Rosenbrock, &[-1.2, 1.0], None, NoopSqpObserver)
             .unwrap();
         assert!(
             (r.z[0] - 1.0).abs() < 1e-3 && (r.z[1] - 1.0).abs() < 1e-3,
@@ -931,7 +892,9 @@ mod tests {
     #[test]
     fn equality_constrained_circle() {
         // min z0+z1 on circle radius √2 → (−1, −1).
-        let r = SqpSolver::default().solve(&CircleMin, &[1.0, 0.5]).unwrap();
+        let r = SqpSolver::default()
+            .solve(&CircleMin, &[1.0, 0.5], None, NoopSqpObserver)
+            .unwrap();
         assert!((r.z[0] + 1.0).abs() < 1e-4, "{:?} {:?}", r.z, r.status);
         assert!((r.z[1] + 1.0).abs() < 1e-4);
         assert!(r.constraint_violation < 1e-5);
@@ -940,7 +903,7 @@ mod tests {
     #[test]
     fn box_constrained_quadratic() {
         let r = SqpSolver::default()
-            .solve(&BoxedQuadratic, &[0.0, 0.0])
+            .solve(&BoxedQuadratic, &[0.0, 0.0], None, NoopSqpObserver)
             .unwrap();
         assert!(r.is_converged(), "{:?}", r.status);
         assert!((r.z[0] - 1.0).abs() < 1e-5);
@@ -950,7 +913,7 @@ mod tests {
     #[test]
     fn bilinear_problem_stays_feasible() {
         let r = SqpSolver::default()
-            .solve(&BilinearHvacLike, &[0.1, 5.0])
+            .solve(&BilinearHvacLike, &[0.1, 5.0], None, NoopSqpObserver)
             .unwrap();
         assert!(r.z[0] >= 0.05 - 1e-6 && r.z[0] <= 0.5 + 1e-6, "{:?}", r.z);
         assert!(r.z[1] >= -1e-6 && r.z[1] <= 30.0 + 1e-6);
@@ -964,7 +927,7 @@ mod tests {
     fn infeasible_start_recovers() {
         // Start far outside the box; elastic/merit machinery must pull in.
         let r = SqpSolver::default()
-            .solve(&BoxedQuadratic, &[50.0, -50.0])
+            .solve(&BoxedQuadratic, &[50.0, -50.0], None, NoopSqpObserver)
             .unwrap();
         assert!((r.z[0] - 1.0).abs() < 1e-4, "{:?} {:?}", r.z, r.status);
         assert!((r.z[1] + 1.0).abs() < 1e-4);
@@ -972,14 +935,16 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_reported() {
-        let err = SqpSolver::default().solve(&Rosenbrock, &[0.0]).unwrap_err();
+        let err = SqpSolver::default()
+            .solve(&Rosenbrock, &[0.0], None, NoopSqpObserver)
+            .unwrap_err();
         assert!(matches!(err, OptimError::DimensionMismatch { .. }));
     }
 
     #[test]
     fn non_finite_start_is_reported() {
         let err = SqpSolver::default()
-            .solve(&Rosenbrock, &[f64::NAN, 0.0])
+            .solve(&Rosenbrock, &[f64::NAN, 0.0], None, NoopSqpObserver)
             .unwrap_err();
         assert!(matches!(err, OptimError::NonFiniteData));
     }
@@ -987,7 +952,7 @@ mod tests {
     #[test]
     fn already_optimal_converges_immediately() {
         let r = SqpSolver::default()
-            .solve(&BoxedQuadratic, &[1.0, -1.0])
+            .solve(&BoxedQuadratic, &[1.0, -1.0], None, NoopSqpObserver)
             .unwrap();
         assert!(r.is_converged());
         assert!(r.iterations <= 2, "iterations {}", r.iterations);
@@ -1015,7 +980,9 @@ mod tests {
         // The elastic subproblem always has a solution; the solver must
         // terminate with a finite iterate and report the residual
         // violation instead of diverging or panicking.
-        let r = SqpSolver::default().solve(&Impossible, &[3.0]).unwrap();
+        let r = SqpSolver::default()
+            .solve(&Impossible, &[3.0], None, NoopSqpObserver)
+            .unwrap();
         assert!(r.z[0].is_finite());
         assert!(
             r.constraint_violation >= 1.0 - 1e-6,
@@ -1038,7 +1005,7 @@ mod tests {
         // step per iteration the solver may stall — it must still return
         // a finite result with an honest status.
         let r = SqpSolver::new(opts)
-            .solve(&Rosenbrock, &[-1.2, 1.0])
+            .solve(&Rosenbrock, &[-1.2, 1.0], None, NoopSqpObserver)
             .unwrap();
         assert!(r.z.iter().all(|v| v.is_finite()));
         assert!(matches!(
@@ -1051,10 +1018,12 @@ mod tests {
     fn observer_sees_every_iteration_and_does_not_perturb() {
         use crate::SqpTraceObserver;
         let solver = SqpSolver::default();
-        let plain = solver.solve(&BoxedQuadratic, &[0.0, 0.0]).unwrap();
+        let plain = solver
+            .solve(&BoxedQuadratic, &[0.0, 0.0], None, NoopSqpObserver)
+            .unwrap();
         let mut trace = SqpTraceObserver::default();
         let observed = solver
-            .solve_observed(&BoxedQuadratic, &[0.0, 0.0], &mut trace)
+            .solve(&BoxedQuadratic, &[0.0, 0.0], None, &mut trace)
             .unwrap();
         // Observation must not change the iterate path at all.
         assert_eq!(plain.z, observed.z);
@@ -1104,7 +1073,7 @@ mod tests {
             index_lists_seen: 0,
         };
         let r = solver
-            .solve_observed(&BoxedQuadratic, &[0.0, 0.0], &mut count_only)
+            .solve(&BoxedQuadratic, &[0.0, 0.0], None, &mut count_only)
             .unwrap();
         assert!(r.is_converged());
         // Both box constraints are active at the optimum.

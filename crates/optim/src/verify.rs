@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn verifies_a_converged_solution() {
         let p = box_qp();
-        let sol = QpSolver::default().solve(&p).unwrap();
+        let sol = QpSolver::default().solve(&p.as_view(), None, None).unwrap();
         let report = verify_kkt(&p.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in, 1e-6).unwrap();
         assert!(report.max_residual() < 1e-6 * report.scale);
     }

@@ -44,7 +44,7 @@ fn vendored_battery_matches_references() {
         match case.expected {
             Expected::Objective(reference) => {
                 let sol = solver
-                    .solve(&problem)
+                    .solve(&problem.as_view(), None, None)
                     .unwrap_or_else(|e| panic!("{}: solve failed: {e}", case.name));
                 // Optimality certified independently of solver internals:
                 // for a convex problem a KKT point is a global optimum.
@@ -58,7 +58,7 @@ fn vendored_battery_matches_references() {
                     case.name
                 );
             }
-            Expected::Infeasible => match solver.solve(&problem) {
+            Expected::Infeasible => match solver.solve(&problem.as_view(), None, None) {
                 Err(
                     OptimError::QpInfeasible { .. }
                     | OptimError::QpMaxIterations { .. }
@@ -70,7 +70,7 @@ fn vendored_battery_matches_references() {
                     case.name, sol.objective
                 ),
             },
-            Expected::Unbounded => match solver.solve(&problem) {
+            Expected::Unbounded => match solver.solve(&problem.as_view(), None, None) {
                 Err(OptimError::QpUnbounded { .. } | OptimError::QpMaxIterations { .. }) => {}
                 Err(e) => panic!("{}: unexpected error kind: {e}", case.name),
                 Ok(sol) => panic!(
@@ -112,7 +112,7 @@ proptest! {
         for family in [QpFamily::Infeasible, QpFamily::Unbounded, QpFamily::ZeroVariable] {
             let qp = generate_family(seed, family);
             let problem = qp.to_problem().expect("construction is always well-formed");
-            match solver.solve(&problem) {
+            match solver.solve(&problem.as_view(), None, None) {
                 Err(e) => {
                     // Routable: a value the SQP recovery arms can match on,
                     // with a human-readable rendering.
@@ -145,28 +145,28 @@ proptest! {
         let big_view = big.view().expect("view");
 
         let mut warm = QpWarmStart::new();
-        let z0_small = vec![0.0; small.num_vars()];
         solver
-            .solve_view_warm(&small_view, &z0_small, &mut warm)
+            .solve(&small_view, None, Some(&mut warm))
             .expect("small instance solves");
 
         // `warm` now holds multipliers sized for `small`; reusing it on
         // `big` must be identical to a cold solve.
-        let z0_big = vec![0.0; big.num_vars()];
         let stale = solver
-            .solve_view_warm(&big_view, &z0_big, &mut warm)
+            .solve(&big_view, None, Some(&mut warm))
             .expect("big instance solves with stale cache");
-        let cold = solver.solve_view(&big_view).expect("big instance solves cold");
+        let cold = solver
+            .solve(&big_view, None, None)
+            .expect("big instance solves cold");
         prop_assert_eq!(&stale.z, &cold.z, "stale cache leaked into the solve");
         prop_assert_eq!(stale.iterations, cold.iterations);
     }
 }
 
-/// Satellite (deterministic end-to-end variant): `SqpSolver::solve_cached`
-/// across two different-dimension NLP instances with one shared cache
-/// matches the cold result exactly.
+/// Deterministic end-to-end variant: `SqpSolver::solve` with one QP warm
+/// cache shared across two different-dimension NLP instances matches the
+/// cold result exactly.
 #[test]
-fn sqp_solve_cached_survives_dimension_change() {
+fn sqp_warm_cache_survives_dimension_change() {
     let small = generate_family(3, QpFamily::Banded);
     let big = generate_family(5, QpFamily::Banded);
     assert_ne!(
@@ -181,15 +181,15 @@ fn sqp_solve_cached_survives_dimension_change() {
     let nlp_big = QpAsNlp::new(big);
 
     let mut warm = QpWarmStart::new();
-    sqp.solve_cached(&nlp_small, &z0_small, &mut warm, NoopSqpObserver)
+    sqp.solve(&nlp_small, &z0_small, Some(&mut warm), NoopSqpObserver)
         .expect("small NLP solves");
     let stale = sqp
-        .solve_cached(&nlp_big, &z0_big, &mut warm, NoopSqpObserver)
+        .solve(&nlp_big, &z0_big, Some(&mut warm), NoopSqpObserver)
         .expect("big NLP solves with a cache warmed on the small one");
 
     let mut fresh = QpWarmStart::new();
     let cold = sqp
-        .solve_cached(&nlp_big, &z0_big, &mut fresh, NoopSqpObserver)
+        .solve(&nlp_big, &z0_big, Some(&mut fresh), NoopSqpObserver)
         .expect("big NLP solves cold");
     assert_eq!(
         stale.z, cold.z,

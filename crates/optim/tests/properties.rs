@@ -4,7 +4,7 @@
 //! feasibility and invariance properties on random problems.
 
 use ev_linalg::{vecops, Matrix};
-use ev_optim::{NlpProblem, QpProblem, QpSolver, SqpSolver};
+use ev_optim::{NlpProblem, NoopSqpObserver, QpProblem, QpSolver, SqpSolver};
 use proptest::prelude::*;
 
 /// Strategy: an SPD Hessian H = AᵀA + I of side `n`.
@@ -31,7 +31,9 @@ proptest! {
     ) {
         // min ½zᵀHz + gᵀz ⇒ Hz* = −g.
         let p = QpProblem::new(h.clone(), g.clone()).expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .expect("solves");
         let direct = ev_linalg::solve(&h, &vecops::scale(-1.0, &g)).expect("spd");
         for k in 0..4 {
             prop_assert!((sol.z[k] - direct[k]).abs() < 1e-5,
@@ -64,7 +66,9 @@ proptest! {
             .expect("valid")
             .with_inequalities(a.clone(), rhs.clone())
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .expect("solves");
 
         // Primal feasibility.
         let az = a.matvec(&sol.z).expect("dims");
@@ -108,7 +112,9 @@ proptest! {
             .expect("valid")
             .with_inequalities(Matrix::from_rows(&refs).expect("rect"), rhs)
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .expect("solves");
         prop_assert!(sol.objective <= p.objective(&probe) + 1e-6);
     }
 
@@ -123,7 +129,9 @@ proptest! {
             .expect("valid")
             .with_equalities(a_eq, vec![target])
             .expect("valid");
-        let sol = QpSolver::default().solve(&p).expect("solves");
+        let sol = QpSolver::default()
+            .solve(&p.as_view(), None, None)
+            .expect("solves");
         let sum: f64 = sol.z.iter().sum();
         prop_assert!((sum - target).abs() < 1e-6, "sum {sum} target {target}");
     }
@@ -154,7 +162,7 @@ proptest! {
             }
         }
         let r = SqpSolver::default()
-            .solve(&Proj { c: center.clone() }, &[0.0, 0.0])
+            .solve(&Proj { c: center.clone() }, &[0.0, 0.0], None, NoopSqpObserver)
             .expect("solves");
         for k in 0..2 {
             let expected = center[k].clamp(-1.0, 1.0);
@@ -185,7 +193,9 @@ proptest! {
                 out[3] = -z[1] - 2.0;
             }
         }
-        let r = SqpSolver::default().solve(&Box2, &start).expect("solves");
+        let r = SqpSolver::default()
+            .solve(&Box2, &start, None, NoopSqpObserver)
+            .expect("solves");
         prop_assert!(r.constraint_violation < 1e-3,
             "violation {} from start {start:?} ({:?})", r.constraint_violation, r.status);
     }

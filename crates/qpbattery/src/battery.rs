@@ -290,7 +290,7 @@ mod tests {
         for case in CASES {
             let qp = case.load().expect("load");
             let problem = qp.problem().expect("build");
-            match solver.solve(&problem) {
+            match solver.solve(&problem.as_view(), None, None) {
                 Ok(sol) => {
                     let report = kkt_report(&problem.as_view(), &sol.z, &sol.y_eq, &sol.lambda_in)
                         .expect("kkt report");

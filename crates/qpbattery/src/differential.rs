@@ -109,11 +109,11 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         Ok(problem) => {
             runs.push(BackendRun {
                 label: "dense-lu",
-                outcome: solver(false).solve(&problem),
+                outcome: solver(false).solve(&problem.as_view(), None, None),
             });
             runs.push(BackendRun {
                 label: "dense-cholesky",
-                outcome: solver(true).solve(&problem),
+                outcome: solver(true).solve(&problem.as_view(), None, None),
             });
         }
         Err(e) => {
@@ -134,7 +134,7 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         Ok(view) => {
             runs.push(BackendRun {
                 label: "banded-view",
-                outcome: solver(false).solve_view(&view),
+                outcome: solver(false).solve(&view, None, None),
             });
             if qp.family == QpFamily::Banded {
                 let declared = qp

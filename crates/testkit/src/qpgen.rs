@@ -673,7 +673,7 @@ mod tests {
                 assert!(qp.h.is_symmetric(1e-12), "{}", qp.name);
                 if family.is_solvable() {
                     let sol = QpSolver::default()
-                        .solve(&qp.to_problem().unwrap())
+                        .solve(&qp.to_problem().unwrap().as_view(), None, None)
                         .unwrap_or_else(|e| panic!("{} failed: {e}", qp.name));
                     assert!(sol.objective.is_finite());
                 }
@@ -690,7 +690,7 @@ mod tests {
                 .planned_bandwidth()
                 .expect("banded instance must produce a plan");
             assert!(w <= qp.structure.unwrap().bandwidth(), "{}", qp.name);
-            let sol = QpSolver::default().solve_view(&view).unwrap();
+            let sol = QpSolver::default().solve(&view, None, None).unwrap();
             assert_eq!(sol.kkt_backend, ev_optim::QpKktBackend::Banded);
         }
     }
@@ -699,11 +699,13 @@ mod tests {
     fn nlp_adapter_matches_qp_solution() {
         let qp = generate_family(7, QpFamily::WellConditioned);
         let direct = QpSolver::default()
-            .solve(&qp.to_problem().unwrap())
+            .solve(&qp.to_problem().unwrap().as_view(), None, None)
             .unwrap();
         let nlp = QpAsNlp::new(qp);
         let z0 = vec![0.0; nlp.num_vars()];
-        let result = ev_optim::SqpSolver::default().solve(&nlp, &z0).unwrap();
+        let result = ev_optim::SqpSolver::default()
+            .solve(&nlp, &z0, None, ev_optim::NoopSqpObserver)
+            .unwrap();
         assert!(result.is_converged());
         for (a, b) in result.z.iter().zip(&direct.z) {
             assert!((a - b).abs() < 1e-4, "sqp {a} vs qp {b}");

@@ -5,20 +5,37 @@
 
 use ev_testkit::InvariantObserver;
 use evclimate::core::experiments::{
-    evaluation_sweep_at, evaluation_sweep_observed, experiment_params, find, table1_row,
+    experiment_params, find, table1_row, EvaluationSweep, SweepCell, SweepResult,
 };
 use evclimate::core::ControllerKind;
 use evclimate::prelude::*;
+
+/// Every cell of a sweep, failing the test with each failed cell's
+/// profile × controller and reason.
+fn completed<O>(sweep: &SweepResult<O>) -> Vec<SweepCell> {
+    assert!(
+        sweep.failures().is_empty(),
+        "sweep cells failed: {:?}",
+        sweep.failures()
+    );
+    sweep.completed()
+}
+
+/// The three-controller comparison of `cycle` at `ambient_c`.
+fn sweep_cells(ambient_c: f64, cycle: &DriveCycle) -> Vec<SweepCell> {
+    completed(&EvaluationSweep::new(ambient_c, vec![cycle.clone()]).run())
+}
 
 /// Runs the three-controller comparison on one cycle at one ambient,
 /// with the `ev-testkit` physics invariants checked at every step of
 /// every cell.
 fn lineup(ambient_c: f64, cycle: &DriveCycle) -> (Metrics, Metrics, Metrics) {
     let params = experiment_params();
-    let cells = evaluation_sweep_observed(ambient_c, std::slice::from_ref(cycle), |_, _| {
-        InvariantObserver::for_params(&params)
-    });
-    for (cell, observer) in &cells {
+    let sweep = EvaluationSweep::new(ambient_c, vec![cycle.clone()])
+        .observe(|_, _| InvariantObserver::for_params(&params))
+        .run();
+    for cell in &sweep.cells {
+        let observer = cell.observer.as_ref().expect("observer returned");
         assert!(
             observer.report().is_clean(),
             "{} × {:?}: {}",
@@ -27,7 +44,7 @@ fn lineup(ambient_c: f64, cycle: &DriveCycle) -> (Metrics, Metrics, Metrics) {
             observer.report()
         );
     }
-    let cells: Vec<_> = cells.into_iter().map(|(cell, _)| cell).collect();
+    let cells = completed(&sweep);
     let get = |kind| {
         *find(&cells, cycle.name(), kind)
             .expect("cell present")
@@ -89,8 +106,8 @@ fn improvement_grows_with_hvac_load() {
 
 #[test]
 fn all_controllers_maintain_comfort_when_preconditioned() {
+    let cells = sweep_cells(35.0, &DriveCycle::ece15());
     for kind in ControllerKind::paper_lineup() {
-        let cells = evaluation_sweep_at(35.0, &[DriveCycle::ece15()]);
         let cell = find(&cells, "ECE-15", kind).expect("cell present");
         let m = cell.result.metrics();
         // Small transient excursions are tolerated; sustained violation
@@ -134,7 +151,7 @@ fn energy_savings_translate_into_range() {
     let (onoff, _fuzzy, mpc) = lineup(43.0, &DriveCycle::ece_eudc());
     let usable = KilowattHours::new(21.0);
     let r_onoff = {
-        let cells = evaluation_sweep_at(43.0, &[DriveCycle::ece_eudc()]);
+        let cells = sweep_cells(43.0, &DriveCycle::ece_eudc());
         find(&cells, "ECE_EUDC", ControllerKind::OnOff)
             .expect("cell")
             .result
@@ -143,7 +160,7 @@ fn energy_savings_translate_into_range() {
     };
     let _ = onoff;
     let r_mpc = {
-        let cells = evaluation_sweep_at(43.0, &[DriveCycle::ece_eudc()]);
+        let cells = sweep_cells(43.0, &DriveCycle::ece_eudc());
         find(&cells, "ECE_EUDC", ControllerKind::Mpc)
             .expect("cell")
             .result

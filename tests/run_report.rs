@@ -15,12 +15,16 @@
 use std::path::PathBuf;
 
 use ev_testkit::verify_or_update_text;
-use evclimate::core::experiments::{evaluation_sweep_run, render_sweep_report};
+use evclimate::core::experiments::{render_sweep_report, EvaluationSweep};
 use evclimate::drive::DriveCycle;
+
+fn ece15(telemetry: bool) -> EvaluationSweep {
+    EvaluationSweep::new(35.0, vec![DriveCycle::ece15()]).telemetry(telemetry)
+}
 
 #[test]
 fn ece15_run_report_matches_baseline() {
-    let sweep = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], true);
+    let sweep = ece15(true).run();
     assert!(
         sweep.failures().is_empty(),
         "sweep cells failed: {:?}",
@@ -42,8 +46,8 @@ fn ece15_run_report_matches_baseline() {
 fn instrumentation_does_not_perturb_the_simulation() {
     // The acceptance bar for telemetry: an instrumented run and a plain
     // run of the same cell produce bit-identical trajectories.
-    let instrumented = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], true);
-    let plain = evaluation_sweep_run(35.0, &[DriveCycle::ece15()], false);
+    let instrumented = ece15(true).run();
+    let plain = ece15(false).run();
     for (a, b) in instrumented.cells.iter().zip(&plain.cells) {
         let (ra, rb) = (
             a.outcome.result().expect("instrumented cell completed"),
