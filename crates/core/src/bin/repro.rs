@@ -93,12 +93,9 @@ fn run(which: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = match args.first() {
-        Some(w) => w.as_str(),
-        None => {
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
+    let [which] = args.as_slice() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
     };
     match run(which) {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,5 +1,6 @@
-//! Exporters: JSONL event stream, Prometheus text exposition, and a
-//! human-readable end-of-run report table.
+//! Exporters: Prometheus text exposition (and the same samples in
+//! process, for tsdb segments), and a human-readable end-of-run report
+//! table.
 
 use std::io;
 use std::path::Path;
@@ -50,16 +51,6 @@ fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
     out
 }
 
-/// Render a label set as a JSON object (`{}` when empty is elided by
-/// callers; this always renders the braces).
-fn json_labels(labels: &[(String, String)]) -> String {
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
-        .collect();
-    format!("{{{}}}", pairs.join(","))
-}
-
 /// Format an f64 as a JSON value (`null` for non-finite values).
 pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -101,62 +92,6 @@ pub(crate) fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Render the snapshot as JSON Lines: one self-describing object per
-/// metric series. Counters carry `type`, `name`, `value`; gauges carry
-/// `type`, `name`, `value` (null when non-finite); histograms carry
-/// `type`, `name`, `count`, `sum`, `min`, `max` (null when empty) and a
-/// `buckets` array of `{le, count}` pairs plus an `overflow` count.
-/// Labeled series additionally carry a `labels` object with sorted
-/// keys; unlabeled series omit the field, so pre-label consumers see an
-/// unchanged schema.
-pub fn to_jsonl(snapshot: &Snapshot) -> String {
-    let labels_field = |labels: &[(String, String)]| {
-        if labels.is_empty() {
-            String::new()
-        } else {
-            format!(",\"labels\":{}", json_labels(labels))
-        }
-    };
-    let mut out = String::new();
-    for c in &snapshot.counters {
-        out.push_str(&format!(
-            "{{\"type\":\"counter\",\"name\":{}{},\"value\":{}}}\n",
-            json_str(&c.name),
-            labels_field(&c.labels),
-            c.value
-        ));
-    }
-    for g in &snapshot.gauges {
-        out.push_str(&format!(
-            "{{\"type\":\"gauge\",\"name\":{}{},\"value\":{}}}\n",
-            json_str(&g.name),
-            labels_field(&g.labels),
-            json_f64(g.value)
-        ));
-    }
-    for h in &snapshot.histograms {
-        let buckets: Vec<String> = h
-            .bounds
-            .iter()
-            .zip(h.counts.iter())
-            .map(|(le, count)| format!("{{\"le\":{},\"count\":{}}}", json_f64(*le), count))
-            .collect();
-        let overflow = h.counts.last().copied().unwrap_or(0);
-        out.push_str(&format!(
-            "{{\"type\":\"histogram\",\"name\":{}{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}],\"overflow\":{}}}\n",
-            json_str(&h.name),
-            labels_field(&h.labels),
-            h.count,
-            json_f64(h.sum),
-            json_f64(h.min),
-            json_f64(h.max),
-            buckets.join(","),
-            overflow
-        ));
-    }
     out
 }
 
@@ -811,27 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_object_per_line() {
-        let out = to_jsonl(&sample_snapshot());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"type\":\"counter\""));
-        assert!(lines[0].contains("\"value\":42"));
-        assert!(lines[1].contains("\"type\":\"histogram\""));
-        assert!(lines[1].contains("\"count\":5"));
-        assert!(lines[1].contains("\"overflow\":2"));
-    }
-
-    #[test]
-    fn jsonl_empty_histogram_extrema_are_null() {
-        let reg = Registry::enabled();
-        let _h = reg.histogram("empty", HistogramSpec::counts());
-        let out = to_jsonl(&reg.snapshot());
-        assert!(out.contains("\"min\":null"));
-        assert!(out.contains("\"max\":null"));
-    }
-
-    #[test]
     fn prometheus_buckets_are_cumulative() {
         let out = to_prometheus(&sample_snapshot());
         assert!(out.contains("# TYPE hits_total counter\nhits_total 42\n"));
@@ -1081,30 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_labeled_series_carry_a_labels_object() {
-        let out = to_jsonl(&labeled_snapshot());
-        assert!(
-            out.contains(
-                "{\"type\":\"counter\",\"name\":\"fleet_steps_total\",\"labels\":{\"shard\":\"0\"},\"value\":10}"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains(
-                "{\"type\":\"gauge\",\"name\":\"fleet_queue_depth\",\"labels\":{\"shard\":\"0\"},\"value\":3.0}"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains("\"labels\":{\"cmd\":\"step\",\"shard\":\"0\"}"),
-            "{out}"
-        );
-        // Unlabeled series keep the pre-label schema: no labels field.
-        let unlabeled = to_jsonl(&sample_snapshot());
-        assert!(!unlabeled.contains("\"labels\""), "{unlabeled}");
-    }
-
-    #[test]
     fn report_renders_gauges_and_labeled_names() {
         let out = render_report(&labeled_snapshot());
         assert!(out.contains("gauge"), "{out}");
@@ -1195,7 +1085,6 @@ mod tests {
         assert_eq!(to_prometheus(&Registry::disabled().snapshot()), "");
         // An enabled registry with no metrics registered is equally empty.
         assert_eq!(to_prometheus(&Registry::enabled().snapshot()), "");
-        assert_eq!(to_jsonl(&Registry::disabled().snapshot()), "");
     }
 
     #[test]

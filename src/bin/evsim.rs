@@ -1,96 +1,14 @@
 //! `evsim` — command-line driver for the evclimate simulator.
 //!
-//! ```text
-//! evsim cycles
-//!     List the built-in drive cycles and their statistics.
-//!
-//! evsim simulate --cycle <name> --controller <onoff|fuzzy|pid|mpc>
-//!                [--ambient <°C>] [--target <°C>] [--precondition]
-//!                [--json <path>] [--telemetry <path.jsonl>]
-//!                [--flight-recorder <path.jsonl>] [--max-sqp-iterations <n>]
-//!     Run one closed-loop simulation and print the metrics; optionally
-//!     dump the full result (time series included) as JSON, the
-//!     telemetry snapshot (solver + plant metrics) as JSONL, and/or the
-//!     MPC flight recording (decision records + realized steps) as
-//!     JSONL. `--max-sqp-iterations` caps the SQP solver (useful for
-//!     forcing `max_iterations` outcomes when exercising the recorder).
-//!
-//! evsim compare --cycle <name> [--ambient <°C>] [--precondition]
-//!     Run the paper's three-controller comparison on one cycle.
-//!
-//! evsim validate-telemetry <path.jsonl>
-//!     Check a telemetry JSONL dump against the metric-line schema.
-//!
-//! evsim explain <dump.jsonl>
-//!     Validate a flight-recorder dump and render it as a constraint-
-//!     activation timeline plus a per-decision attribution table.
-//!
-//! evsim loadgen [--sessions <n>] [--steps <n>] [--chunk <n>] [--seed <n>]
-//!               [--shards <n>] [--queue-capacity <n>]
-//!               [--controller <onoff|fuzzy|pid|mpc>]
-//!     Drive a deterministic synthetic fleet through the session engine
-//!     and print the throughput/latency report (same seed → same
-//!     deterministic fields and fleet digest).
-//!
-//! evsim serve [--addr <host:port>] [--for-seconds <n>]
-//!             [--burst-sessions <n>] [--burst-steps <n>] [--seed <n>]
-//!     Expose the fleet telemetry registry as a Prometheus text scrape
-//!     endpoint on plain TCP. With `--burst-sessions` a loadgen burst
-//!     populates the registry first; `--for-seconds 0` exits as soon as
-//!     the burst is done (the endpoint stays up during it).
-//!
-//! evsim scrape --addr <host:port> [--require-histogram <name>]
-//!              [--require-counter <name>]
-//!     One-shot scrape probe: fetch /metrics, validate the exposition
-//!     strictly (no `null`/`inf` tokens) and optionally require a
-//!     populated histogram/counter. Exits non-zero on any violation.
-//!
-//! evsim top --addr <host:port> [--interval <secs>] [--once]
-//!     Polling terminal dashboard over the scrape endpoint: per-shard
-//!     live sessions, queue depth, step counts, park/shed totals, step
-//!     latency p50/p99 and the MPC solve-outcome mix, refreshed in
-//!     place. `--once` prints a single snapshot and exits (non-zero if
-//!     no per-shard series are populated), which is what CI asserts on.
-//!
-//! evsim trace [--out <path.json>] [--sample <modulus>]
-//!             [--capacity <events>] [loadgen flags]
-//!     Run a loadgen burst with the trace ring enabled and write the
-//!     captured (shard, session, command, MPC solve) spans as Chrome
-//!     trace JSON — loadable in Perfetto / chrome://tracing. `--sample`
-//!     keeps every Nth session; `--capacity` bounds the ring (oldest
-//!     events are overwritten past it).
-//!
-//! evsim record [--out <seg.evts>] [--interval <secs>]
-//!              (--addr <host:port> [--for-seconds <n>] |
-//!               [loadgen flags] [--max-sqp-iterations <n>]
-//!               [--trace-out <path.json>] [--sample <modulus>]
-//!               [--capacity <events>])
-//!     Record fleet health history into a crash-safe tsdb segment.
-//!     With `--addr`, polls an existing scrape endpoint; otherwise runs
-//!     a loadgen burst in-process and samples its registry while it
-//!     runs (`--trace-out` additionally captures the Chrome trace that
-//!     histogram exemplars resolve against; `--max-sqp-iterations` is
-//!     the fault-injection hook the SLO CI job breaches on).
-//!
-//! evsim query --segment <seg.evts> [--metric <name>] [--labels k=v,..]
-//!             [--window-s <n>] [--quantile <q> | --rate]
-//!             [--exemplars [--trace <path.json>]]
-//!     Query a recorded segment: list its series, compute a windowed
-//!     rate or bucket-delta quantile over the trailing window, or list
-//!     histogram exemplars — resolving each trace-span id against a
-//!     Chrome-trace export so a p99 exemplar points at the exact solve.
-//!
-//! evsim slo [--rules <path.toml>] [--once]
-//!           (--segment <seg.evts> |
-//!            --addr <host:port> [--interval <secs>] [--for-seconds <n>])
-//!     Evaluate SLO rules (windowed rates, bucket-delta quantiles,
-//!     multi-window burn rates) over a recorded segment or a live
-//!     endpoint, printing alert transitions and a final per-rule
-//!     verdict. Exits non-zero if any alert ever fired — the CI
-//!     contract: a healthy soak passes, a fault-injected one fails.
-//! ```
+//! Every subcommand, its flags, their defaults and their help lines are
+//! declared once, in [`COMMANDS`]. The parser, `evsim --help` and
+//! `evsim <command> --help` are generated from that table, so input the
+//! table does not declare is rejected with the command's usage before
+//! any work starts, never silently defaulted.
 
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use evclimate::control::CONSTRAINT_ROW_LABELS;
 use evclimate::core::fleet::{
@@ -109,30 +27,367 @@ use evclimate::telemetry::{
 };
 use evclimate::units::{Celsius, Seconds};
 
-fn usage() -> &'static str {
-    "usage:\n  evsim cycles\n  evsim simulate --cycle <name> --controller <onoff|fuzzy|pid|mpc> \
-     [--ambient <°C>] [--target <°C>] [--precondition] [--json <path>] \
-     [--telemetry <path.jsonl>] [--flight-recorder <path.jsonl>] \
-     [--max-sqp-iterations <n>]\n  \
-     evsim compare --cycle <name> [--ambient <°C>] [--precondition]\n  \
-     evsim validate-telemetry <path.jsonl>\n  \
-     evsim explain <dump.jsonl>\n  \
-     evsim loadgen [--sessions <n>] [--steps <n>] [--chunk <n>] [--seed <n>] \
-     [--shards <n>] [--queue-capacity <n>] [--controller <name>]\n  \
-     evsim serve [--addr <host:port>] [--for-seconds <n>] \
-     [--burst-sessions <n>] [--burst-steps <n>] [--seed <n>]\n  \
-     evsim scrape --addr <host:port> [--require-histogram <name>] \
-     [--require-counter <name>]\n  \
-     evsim top --addr <host:port> [--interval <secs>] [--once]\n  \
-     evsim trace [--out <path.json>] [--sample <modulus>] \
-     [--capacity <events>] [loadgen flags]\n  \
-     evsim record [--out <seg.evts>] [--interval <secs>] \
-     (--addr <host:port> [--for-seconds <n>] | [loadgen flags] \
-     [--max-sqp-iterations <n>] [--trace-out <path.json>])\n  \
-     evsim query --segment <seg.evts> [--metric <name>] [--labels k=v,..] \
-     [--window-s <n>] [--quantile <q> | --rate] [--exemplars [--trace <path.json>]]\n  \
-     evsim slo [--rules <path.toml>] [--once] (--segment <seg.evts> | \
-     --addr <host:port> [--interval <secs>] [--for-seconds <n>])"
+/// What a flag takes; `Text` and `Number` carry their usage placeholder.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch,
+    Text(&'static str),
+    Number(&'static str),
+    Count,
+    AtLeastOne,
+    Seconds,
+    Interval,
+}
+
+impl Kind {
+    /// The usage placeholder and what a valid value is.
+    fn describe(self) -> (&'static str, &'static str) {
+        match self {
+            Kind::Switch => ("", "no value"),
+            Kind::Text(p) => (p, "text"),
+            Kind::Number(p) => (p, "a finite number"),
+            Kind::Count => ("<n>", "a non-negative integer"),
+            Kind::AtLeastOne => ("<n>", "an integer of at least 1"),
+            Kind::Seconds => ("<secs>", "a finite, non-negative number of seconds"),
+            Kind::Interval => ("<secs>", "a finite, positive number of seconds"),
+        }
+    }
+
+    fn accepts(self, v: &str) -> bool {
+        match self {
+            Kind::Switch => false,
+            Kind::Text(_) => true,
+            Kind::Number(_) => v.parse::<f64>().is_ok_and(f64::is_finite),
+            Kind::Count => v.parse::<u64>().is_ok(),
+            Kind::AtLeastOne => v.parse::<u64>().is_ok_and(|n| n >= 1),
+            Kind::Seconds => parse_duration(v).is_some(),
+            Kind::Interval => parse_duration(v).is_some_and(|d| !d.is_zero()),
+        }
+    }
+}
+
+/// `v` seconds as a duration the clock can add to now. Negative, NaN,
+/// infinite and overflowing values are `None`: `Duration::from_secs_f64`
+/// and `Instant + Duration` panic on them.
+fn parse_duration(v: &str) -> Option<Duration> {
+    let d = Duration::try_from_secs_f64(v.parse().ok()?).ok()?;
+    Instant::now().checked_add(d).map(|_| d)
+}
+
+/// One declared flag, spelled `--<name>` on the command line.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    default: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    kind: Kind,
+    default: Option<&'static str>,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        kind,
+        default,
+        help,
+    }
+}
+
+/// The scenario flags of `simulate` and `compare`.
+#[rustfmt::skip]
+const SCENARIO: &[Flag] = &[
+    flag("cycle", Kind::Text("<name>"), None, "drive cycle, required (see evsim cycles)"),
+    flag("ambient", Kind::Number("<°C>"), Some("35"), "constant ambient temperature"),
+    flag("target", Kind::Number("<°C>"), Some("24"), "cabin set-point"),
+    flag("precondition", Kind::Switch, None, "start with the cabin at the set-point"),
+];
+
+const MAX_SQP_ITERATIONS: Flag = flag(
+    "max-sqp-iterations",
+    Kind::Count,
+    None,
+    "cap SQP iterations per MPC solve (fault injection)",
+);
+
+/// The synthetic-fleet flags of `loadgen`, `trace`, `record` and `serve`,
+/// with `LoadgenConfig::default()`'s values.
+#[rustfmt::skip]
+const FLEET: &[Flag] = &[
+    flag("controller", Kind::Text("<name>"), Some("mpc"), "onoff | fuzzy | pid | mpc"),
+    flag("chunk", Kind::Count, Some("16"), "plant steps per submitted command"),
+    flag("seed", Kind::Count, Some("42"), "arrival-process and scenario-mix seed"),
+    flag("shards", Kind::Count, Some("0"), "engine shards; 0 picks one per core"),
+    flag("queue-capacity", Kind::Count, Some("256"), "per-shard command-queue bound"),
+    MAX_SQP_ITERATIONS,
+];
+
+/// The burst size of the fleet commands that run one on their own.
+#[rustfmt::skip]
+const SESSIONS: &[Flag] = &[
+    flag("sessions", Kind::AtLeastOne, Some("100"), "vehicle sessions to serve"),
+    flag("steps", Kind::Count, Some("120"), "plant steps per session"),
+];
+
+/// The trace-ring flags of `trace` and `record`.
+#[rustfmt::skip]
+const TRACE_RING: &[Flag] = &[
+    flag("sample", Kind::AtLeastOne, Some("1"), "trace every Nth session"),
+    flag("capacity", Kind::Count, Some("65536"), "ring size in events; oldest overwritten"),
+];
+
+/// One subcommand: its summary, an optional positional operand, its
+/// flags (in groups, so shared ones are declared once) and its body.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    operand: Option<&'static str>,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+/// Every subcommand, in the order `evsim --help` lists them.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "cycles", operand: None, flags: &[], run: cmd_cycles,
+        about: "List the built-in drive cycles and their statistics.",
+    },
+    Command {
+        name: "simulate", operand: None, run: cmd_simulate,
+        about: "Run one closed-loop simulation and print its metrics.",
+        flags: &[SCENARIO, &[
+            flag("controller", Kind::Text("<name>"), None, "onoff | fuzzy | pid | mpc, required"),
+            flag("json", Kind::Text("<path>"), None, "write the full result, time series included"),
+            flag("telemetry", Kind::Text("<seg.evts>"), None,
+                 "write the metrics as a one-frame tsdb segment (see query/slo --segment)"),
+            flag("flight-recorder", Kind::Text("<path.jsonl>"), None,
+                 "write the MPC flight recording (auto-dumped on a solver failure)"),
+            MAX_SQP_ITERATIONS,
+        ]],
+    },
+    Command {
+        name: "compare", operand: None, flags: &[SCENARIO], run: cmd_compare,
+        about: "Run the paper's three-controller comparison on one cycle.",
+    },
+    Command {
+        name: "explain", operand: Some("<dump.jsonl>"), flags: &[], run: cmd_explain,
+        about: "Check a flight-recorder dump; render its constraint timeline and attribution.",
+    },
+    Command {
+        name: "loadgen", operand: None, flags: &[SESSIONS, FLEET], run: cmd_loadgen,
+        about: "Drive a seeded synthetic fleet and print the throughput/latency report.",
+    },
+    Command {
+        name: "serve", operand: None, run: cmd_serve,
+        about: "Expose the fleet registry as a Prometheus scrape endpoint on plain TCP.",
+        flags: &[&[
+            flag("addr", Kind::Text("<host:port>"), Some("127.0.0.1:0"), "listen address"),
+            flag("for-seconds", Kind::Seconds, Some("0"), "keep serving this long after the burst"),
+            flag("burst-sessions", Kind::Count, Some("0"), "first run a burst of this many sessions"),
+            flag("burst-steps", Kind::Count, Some("60"), "plant steps per burst session"),
+        ], FLEET],
+    },
+    Command {
+        name: "scrape", operand: None, run: cmd_scrape,
+        about: "Fetch /metrics once and validate it strictly; non-zero exit on a violation.",
+        flags: &[&[
+            flag("addr", Kind::Text("<host:port>"), None, "scrape endpoint, required"),
+            flag("require-histogram", Kind::Text("<name>"), None, "fail unless it has samples"),
+            flag("require-counter", Kind::Text("<name>"), None, "fail unless it is above zero"),
+        ]],
+    },
+    Command {
+        name: "top", operand: None, run: cmd_top,
+        about: "Per-shard terminal dashboard over a scrape endpoint, refreshed in place.",
+        flags: &[&[
+            flag("addr", Kind::Text("<host:port>"), None, "scrape endpoint, required"),
+            flag("interval", Kind::Interval, Some("2"), "poll period"),
+            flag("once", Kind::Switch, None, "print one frame; non-zero exit without shard series"),
+        ]],
+    },
+    Command {
+        name: "trace", operand: None, run: cmd_trace,
+        about: "Run a traced loadgen burst and write the spans as Chrome trace JSON.",
+        flags: &[&[
+            flag("out", Kind::Text("<path.json>"), Some("trace.json"), "trace output"),
+        ], TRACE_RING, SESSIONS, FLEET],
+    },
+    Command {
+        name: "record", operand: None, run: cmd_record,
+        about: "Record fleet health (a polled --addr, else a local burst) to a tsdb segment.",
+        flags: &[&[
+            flag("out", Kind::Text("<seg.evts>"), Some("fleet.evts"), "segment output"),
+            flag("interval", Kind::Interval, None, "sample period (default 1 with --addr, else 0.05)"),
+            flag("addr", Kind::Text("<host:port>"), None, "poll this endpoint instead of a burst"),
+            flag("for-seconds", Kind::Seconds, Some("10"), "how long to poll --addr"),
+            flag("trace-out", Kind::Text("<path.json>"), None, "also write the burst's Chrome trace"),
+        ], TRACE_RING, SESSIONS, FLEET],
+    },
+    Command {
+        name: "query", operand: None, run: cmd_query,
+        about: "List a tsdb segment's series, or query a rate, quantile or exemplars.",
+        flags: &[&[
+            flag("segment", Kind::Text("<seg.evts>"), None, "segment to read, required"),
+            flag("metric", Kind::Text("<name>"), None, "print its latest values; fails if none match"),
+            flag("labels", Kind::Text("<k=v,..>"), None, "label filter for --metric"),
+            flag("window-s", Kind::Count, Some("60"), "trailing window of --quantile and --rate"),
+            flag("quantile", Kind::Number("<q>"), None, "bucket-delta quantile of --metric"),
+            flag("rate", Kind::Switch, None, "per-second rate of --metric"),
+            flag("exemplars", Kind::Switch, None, "list histogram exemplars"),
+            flag("trace", Kind::Text("<path.json>"), None, "resolve exemplars against this trace"),
+        ]],
+    },
+    Command {
+        name: "slo", operand: None, run: cmd_slo,
+        about: "Evaluate SLO rules over a segment or an endpoint; non-zero exit if one fired.",
+        flags: &[&[
+            flag("rules", Kind::Text("<path.toml>"), None, "rule file (default: built-in rules)"),
+            flag("segment", Kind::Text("<seg.evts>"), None, "replay this segment"),
+            flag("addr", Kind::Text("<host:port>"), None, "poll this scrape endpoint"),
+            flag("interval", Kind::Interval, Some("1"), "poll period for --addr"),
+            flag("for-seconds", Kind::Seconds, Some("10"), "with --once, how long to poll"),
+            flag("once", Kind::Switch, None, "stop polling after --for-seconds"),
+        ]],
+    },
+];
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags().find(|f| f.name == name)
+    }
+
+    /// The synopsis, the summary and one line per flag.
+    fn usage(&self) -> String {
+        let lines: Vec<(String, String)> = self
+            .flags()
+            .map(|f| {
+                let spec = format!("--{} {}", f.name, f.kind.describe().0);
+                let default = f
+                    .default
+                    .map_or(String::new(), |d| format!(" (default {d})"));
+                (spec.trim_end().to_owned(), format!("{}{default}", f.help))
+            })
+            .chain([("--help".to_owned(), "print this usage".to_owned())])
+            .collect();
+        let width = lines.iter().map(|(s, _)| s.chars().count()).max();
+        let width = width.expect("--help is always listed");
+        let operand = self.operand.map_or(String::new(), |o| format!(" {o}"));
+        let mut out = format!(
+            "usage: evsim {}{operand} [flags]\n{}\n\nflags:\n",
+            self.name, self.about
+        );
+        for (spec, help) in lines {
+            out.push_str(&format!("  {spec:<width$}  {help}\n"));
+        }
+        out
+    }
+}
+
+/// The top-level usage: every command and its summary.
+fn usage() -> String {
+    let mut out = String::from("usage: evsim <command> [flags]\n\ncommands:\n");
+    for c in COMMANDS {
+        out.push_str(&format!("  {:<9} {}\n", c.name, c.about));
+    }
+    out + "\n`evsim <command> --help` lists a command's flags.\n"
+}
+
+/// A command line checked against one command's declared flags.
+struct Args {
+    command: &'static Command,
+    /// `(flag name, value)` in the order given; switches carry "".
+    given: Vec<(&'static str, String)>,
+    operand: Option<String>,
+}
+
+impl Args {
+    /// Rejects an unknown or repeated flag, a value flag without a value
+    /// or with one of the wrong kind, a value after a switch and a stray
+    /// positional argument. (`--help` is handled before parsing.)
+    fn parse(command: &'static Command, argv: &[String]) -> Result<Self, String> {
+        let mut args = Args {
+            command,
+            given: Vec::new(),
+            operand: None,
+        };
+        let mut it = argv.iter().peekable();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if command.operand.is_some() && args.operand.is_none() {
+                    args.operand = Some(arg.clone());
+                    continue;
+                }
+                return Err(format!("unexpected argument '{arg}'"));
+            };
+            let flag = command
+                .flag(name)
+                .ok_or_else(|| format!("unknown flag --{name}"))?;
+            if args.given.iter().any(|(n, _)| *n == flag.name) {
+                return Err(format!("--{name} given more than once"));
+            }
+            let (placeholder, expected) = flag.kind.describe();
+            // The token after a flag is its value unless it is a flag.
+            let value = match (flag.kind, it.next_if(|v| !v.starts_with("--"))) {
+                (Kind::Switch, None) => String::new(),
+                (Kind::Switch, Some(v)) => {
+                    return Err(format!("--{name} takes no value, got '{v}'"))
+                }
+                (_, None) => return Err(format!("--{name} needs a value {placeholder}")),
+                (kind, Some(v)) if !kind.accepts(v) => {
+                    return Err(format!("--{name} expects {expected}, got '{v}'"))
+                }
+                (_, Some(v)) => v.clone(),
+            };
+            args.given.push((flag.name, value));
+        }
+        match (command.operand, &args.operand) {
+            (Some(operand), None) => Err(format!("missing {operand}")),
+            _ => Ok(args),
+        }
+    }
+
+    /// The value given for `name`, else its declared default.
+    fn text(&self, name: &str) -> Option<&str> {
+        let flag = self
+            .command
+            .flag(name)
+            .unwrap_or_else(|| panic!("evsim {} reads undeclared --{name}", self.command.name));
+        let given = self.given.iter().find(|(n, _)| *n == name);
+        given.map(|(_, v)| v.as_str()).or(flag.default)
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// [`Args::text`] as a `T`; the parser checked it against the flag's
+    /// kind (and a unit test the defaults), so a wrong `T` is a bug.
+    fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.text(name)?;
+        Some(
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{name} '{v}' read as the wrong type")),
+        )
+    }
+
+    /// [`Args::opt`] for a flag declared with a default.
+    fn get<T: FromStr>(&self, name: &str) -> T {
+        self.opt(name)
+            .unwrap_or_else(|| panic!("--{name} is read as if it had a default"))
+    }
+
+    /// A [`Kind::Seconds`] or [`Kind::Interval`] flag as a duration.
+    fn duration(&self, name: &str) -> Option<Duration> {
+        self.opt(name).map(Duration::from_secs_f64)
+    }
 }
 
 /// Looks up a built-in cycle by (case-insensitive) name.
@@ -160,85 +415,18 @@ fn controller_by_name(name: &str) -> Option<ControllerKind> {
     }
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean `--flags`.
-struct Args {
-    pairs: Vec<(String, String)>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = argv.iter().peekable();
-        while let Some(a) = it.next() {
-            let Some(key) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}'"));
-            };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((key.to_owned(), (*v).clone()));
-                    it.next();
-                }
-                _ => flags.push(key.to_owned()),
-            }
-        }
-        Ok(Self { pairs, flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got '{v}'")),
-        }
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a non-negative integer, got '{v}'")),
-        }
-    }
-}
-
 fn build_sim(args: &Args) -> Result<(EvParams, Simulation), String> {
-    let cycle_name = args.get("cycle").ok_or("missing --cycle")?;
+    let cycle_name = args.text("cycle").ok_or("missing --cycle")?;
     let cycle = cycle_by_name(cycle_name)
         .ok_or_else(|| format!("unknown cycle '{cycle_name}' (try: evsim cycles)"))?;
-    let ambient = args.get_f64("ambient", 35.0)?;
-    let target = args.get_f64("target", 24.0)?;
     let mut params = EvParams::nissan_leaf_like();
-    params.target = Celsius::new(target);
-    if args.flag("precondition") {
+    params.target = Celsius::new(args.get("target"));
+    if args.switch("precondition") {
         params.initial_cabin = Some(params.target);
     }
     let profile = DriveProfile::from_cycle(
         &cycle,
-        AmbientConditions::constant(Celsius::new(ambient)),
+        AmbientConditions::constant(Celsius::new(args.get("ambient"))),
         Seconds::new(1.0),
     );
     let sim = Simulation::new(params.clone(), profile).map_err(|e| e.to_string())?;
@@ -271,7 +459,7 @@ fn print_metrics(result: &SimulationResult) {
     );
 }
 
-fn cmd_cycles() {
+fn cmd_cycles(_: &Args) -> Result<(), String> {
     println!(
         "{:<10} {:>9} {:>10} {:>10} {:>10}",
         "cycle", "time s", "dist km", "avg km/h", "max km/h"
@@ -289,22 +477,16 @@ fn cmd_cycles() {
             s.max_speed.to_kilometers_per_hour().value(),
         );
     }
+    Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let controller_name = args.get("controller").ok_or("missing --controller")?;
+    let controller_name = args.text("controller").ok_or("missing --controller")?;
     let kind = controller_by_name(controller_name)
         .ok_or_else(|| format!("unknown controller '{controller_name}'"))?;
     let (params, sim) = build_sim(args)?;
-    let telemetry_path = args.get("telemetry");
-    let recorder_path = args.get("flight-recorder");
-    let max_sqp_iterations = match args.get("max-sqp-iterations") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--max-sqp-iterations expects a count, got '{v}'"))?,
-        ),
-    };
+    let telemetry_path = args.text("telemetry");
+    let recorder_path = args.text("flight-recorder");
     let registry = Registry::with_enabled(telemetry_path.is_some());
     // With a dump path configured, solver failures (max-iter, structural
     // errors) auto-dump the window at the moment of failure; a healthy
@@ -318,7 +500,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let setup = ControllerSetup {
         telemetry: registry.clone(),
         recorder: recorder.clone(),
-        max_sqp_iterations,
+        max_sqp_iterations: args.opt("max-sqp-iterations"),
         ..ControllerSetup::default()
     };
     let mut controller = kind
@@ -332,17 +514,20 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         .run_observed(controller.as_mut(), &mut observer)
         .map_err(|e| e.to_string())?;
     print_metrics(&result);
-    if let Some(path) = args.get("json") {
+    if let Some(path) = args.text("json") {
         let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
         export::write_text(std::path::Path::new(path), &json).map_err(|e| e.to_string())?;
         println!("full result written to {path}");
     }
     if let Some(path) = telemetry_path {
+        // The same one-frame tsdb segment `record` writes, so `query` and
+        // `slo --segment` read it.
         let snapshot = registry.snapshot();
-        export::write_text(std::path::Path::new(path), &export::to_jsonl(&snapshot))
-            .map_err(|e| e.to_string())?;
+        tsdb::SegmentWriter::create(std::path::Path::new(path))
+            .and_then(|mut w| w.append(now_ms(), &export::snapshot_samples(&snapshot)))
+            .map_err(|e| format!("{path}: {e}"))?;
         println!("\n{}", export::render_report(&snapshot));
-        println!("telemetry written to {path}");
+        println!("telemetry written to {path} (read it with evsim query --segment {path})");
     }
     if let Some(path) = recorder_path {
         if let Some(err) = recorder.last_dump_error() {
@@ -372,8 +557,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One parsed JSONL metric line, kept as the raw value tree so the
-/// schema check can inspect it field by field (the vendored `Value`
+/// One parsed JSON document, kept as the raw value tree so the explain
+/// and trace readers can inspect it field by field (the vendored `Value`
 /// deliberately has no blanket `Deserialize`).
 struct RawLine(serde::Value);
 
@@ -381,124 +566,6 @@ impl serde::Deserialize for RawLine {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Self(v.clone()))
     }
-}
-
-/// Validates one telemetry JSONL line against the exporter's schema.
-fn validate_metric_line(line: &str) -> Result<&'static str, String> {
-    let RawLine(v) = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let kind = v
-        .field("type")
-        .and_then(serde::Value::as_str)
-        .map_err(|e| e.to_string())?;
-    let name = v
-        .field("name")
-        .and_then(serde::Value::as_str)
-        .map_err(|e| e.to_string())?;
-    if name.is_empty() {
-        return Err("empty metric name".to_owned());
-    }
-    // A `labels` object is optional (unlabeled series omit it); when
-    // present every value must be a string and every key non-empty.
-    if let Ok(labels) = v.field("labels") {
-        let serde::Value::Map(pairs) = labels else {
-            return Err(format!("{name}: labels is not an object"));
-        };
-        for (key, value) in pairs {
-            if key.is_empty() {
-                return Err(format!("{name}: empty label name"));
-            }
-            if !matches!(value, serde::Value::Str(_)) {
-                return Err(format!("{name}: label '{key}' value is not a string"));
-            }
-        }
-    }
-    let num = |key: &str| -> Result<f64, String> {
-        v.field(key)
-            .and_then(serde::Value::as_num)
-            .map_err(|e| format!("{name}: {e}"))
-    };
-    match kind {
-        "counter" => {
-            let value = num("value")?;
-            if value < 0.0 || value.fract() != 0.0 {
-                return Err(format!("{name}: counter value {value} is not a natural"));
-            }
-            Ok("counter")
-        }
-        "gauge" => {
-            // Gauges take any float; non-finite values serialize as JSON
-            // `null` (JSON has no NaN/Inf literal).
-            match v.field("value").map_err(|e| format!("{name}: {e}"))? {
-                serde::Value::Null => {}
-                other => {
-                    other.as_num().map_err(|e| format!("{name}: {e}"))?;
-                }
-            }
-            Ok("gauge")
-        }
-        "histogram" => {
-            let count = num("count")?;
-            let overflow = num("overflow")?;
-            num("sum")?;
-            // min/max are null (not numbers) exactly when the histogram
-            // is empty.
-            for key in ["min", "max"] {
-                let is_null =
-                    matches!(v.field(key).map_err(|e| e.to_string())?, serde::Value::Null);
-                if is_null != (count == 0.0) {
-                    return Err(format!("{name}: {key} null-ness disagrees with count"));
-                }
-            }
-            let serde::Value::Seq(buckets) = v.field("buckets").map_err(|e| e.to_string())? else {
-                return Err(format!("{name}: buckets is not an array"));
-            };
-            let mut in_buckets = 0.0;
-            let mut prev_le = f64::NEG_INFINITY;
-            for b in buckets {
-                let le = b
-                    .field("le")
-                    .and_then(serde::Value::as_num)
-                    .map_err(|e| format!("{name}: {e}"))?;
-                if le <= prev_le {
-                    return Err(format!("{name}: bucket bounds not increasing at {le}"));
-                }
-                prev_le = le;
-                in_buckets += b
-                    .field("count")
-                    .and_then(serde::Value::as_num)
-                    .map_err(|e| format!("{name}: {e}"))?;
-            }
-            if in_buckets + overflow != count {
-                return Err(format!(
-                    "{name}: bucket counts {in_buckets} + overflow {overflow} != count {count}"
-                ));
-            }
-            Ok("histogram")
-        }
-        other => Err(format!("{name}: unknown metric type '{other}'")),
-    }
-}
-
-fn cmd_validate_telemetry(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut counters = 0usize;
-    let mut gauges = 0usize;
-    let mut histograms = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match validate_metric_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))? {
-            "counter" => counters += 1,
-            "gauge" => gauges += 1,
-            _ => histograms += 1,
-        }
-    }
-    if counters + gauges + histograms == 0 {
-        return Err(format!("{path}: no metric lines"));
-    }
-    println!("{path}: OK ({counters} counters, {gauges} gauges, {histograms} histograms)");
-    Ok(())
 }
 
 /// A map-field number, as a `String`-error result (the explain renderer
@@ -764,7 +831,11 @@ fn render_explain(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_explain(path: &str) -> Result<(), String> {
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let path = args
+        .operand
+        .as_deref()
+        .expect("explain declares an operand");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let rendered = render_explain(&text).map_err(|e| format!("{path}: {e}"))?;
     print!("{rendered}");
@@ -793,54 +864,41 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build a [`LoadgenConfig`] from the shared synthetic-fleet flags.
+/// Build a [`LoadgenConfig`] from the [`FLEET`] flags.
 ///
-/// `sessions_key`/`steps_key` differ between `loadgen` (primary flags)
-/// and `serve` (burst flags), so the caller names them.
+/// `sessions_key`/`steps_key` differ between the [`SESSIONS`] flags and
+/// `serve`'s burst flags, so the caller names them.
 fn loadgen_config(
     args: &Args,
     sessions_key: &str,
     steps_key: &str,
 ) -> Result<LoadgenConfig, String> {
-    let defaults = LoadgenConfig::default();
-    let controller = match args.get("controller") {
-        None => defaults.controller,
-        Some(name) => controller_by_name(name)
-            .ok_or_else(|| format!("unknown controller '{name}' (onoff|fuzzy|pid|mpc)"))?,
-    };
-    let max_sqp_iterations = match args.get("max-sqp-iterations") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--max-sqp-iterations expects a count, got '{v}'"))?,
-        ),
-    };
+    let name = args.text("controller").unwrap_or_default();
+    let controller = controller_by_name(name)
+        .ok_or_else(|| format!("unknown controller '{name}' (onoff|fuzzy|pid|mpc)"))?;
     Ok(LoadgenConfig {
-        sessions: args.get_usize(sessions_key, defaults.sessions)?,
-        steps_per_session: args.get_usize(steps_key, defaults.steps_per_session)?,
-        chunk: args.get_usize("chunk", defaults.chunk)?,
-        seed: args.get_u64("seed", defaults.seed)?,
-        shards: args.get_usize("shards", defaults.shards)?,
-        queue_capacity: args.get_usize("queue-capacity", defaults.queue_capacity)?,
+        sessions: args.get(sessions_key),
+        steps_per_session: args.get(steps_key),
+        chunk: args.get("chunk"),
+        seed: args.get("seed"),
+        shards: args.get("shards"),
+        queue_capacity: args.get("queue-capacity"),
         controller,
-        max_sqp_iterations,
+        max_sqp_iterations: args.opt("max-sqp-iterations"),
     })
 }
 
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let config = loadgen_config(args, "sessions", "steps")?;
-    if config.sessions == 0 {
-        return Err("--sessions must be at least 1".into());
-    }
     let report = run_loadgen(&config);
     print!("{}", render_loadgen_report(&report));
     Ok(())
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let hold_seconds = args.get_f64("for-seconds", 0.0)?;
-    let burst_sessions = args.get_usize("burst-sessions", 0)?;
+    let addr = args.text("addr").unwrap_or_default();
+    let hold = args.duration("for-seconds").unwrap_or_default();
+    let config = loadgen_config(args, "burst-sessions", "burst-steps")?;
 
     let registry = Registry::enabled();
     let mut server =
@@ -852,17 +910,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    if burst_sessions > 0 {
-        let mut config = loadgen_config(args, "burst-sessions", "burst-steps")?;
-        config.steps_per_session = args.get_usize("burst-steps", 60)?;
+    if config.sessions > 0 {
         let report = run_loadgen_on(&config, &registry);
         print!("{}", render_loadgen_report(&report));
         let _ = std::io::stdout().flush();
     }
 
-    if hold_seconds > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(hold_seconds));
-    }
+    std::thread::sleep(hold);
     server.shutdown();
     Ok(())
 }
@@ -925,11 +979,11 @@ fn probe_scrape(
 }
 
 fn cmd_scrape(args: &Args) -> Result<(), String> {
-    let addr = args.get("addr").ok_or("missing --addr <host:port>")?;
+    let addr = args.text("addr").ok_or("missing --addr <host:port>")?;
     let report = probe_scrape(
         addr,
-        args.get("require-histogram"),
-        args.get("require-counter"),
+        args.text("require-histogram"),
+        args.text("require-counter"),
     )?;
     print!("{report}");
     Ok(())
@@ -1120,12 +1174,9 @@ fn render_top(
 }
 
 fn cmd_top(args: &Args) -> Result<(), String> {
-    let addr = args.get("addr").ok_or("missing --addr <host:port>")?;
-    let interval = args.get_f64("interval", 2.0)?;
-    if interval <= 0.0 {
-        return Err("--interval must be positive".into());
-    }
-    let once = args.flag("once");
+    let addr = args.text("addr").ok_or("missing --addr <host:port>")?;
+    let interval = args.duration("interval").unwrap_or_default();
+    let once = args.switch("once");
     use std::io::Write as _;
     // The previous poll's samples: present from the second frame on,
     // which flips the latency columns from cumulative to windowed.
@@ -1145,27 +1196,19 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         match frame {
             // ANSI clear + home, so the table refreshes in place.
             Ok(view) => print!("\x1b[2J\x1b[H{view}"),
-            Err(msg) => print!("\x1b[2J\x1b[H{msg}\nretrying every {interval} s\n"),
+            Err(msg) => print!("\x1b[2J\x1b[H{msg}\nretrying every {interval:?}\n"),
         }
         prev = parsed.ok();
         let _ = std::io::stdout().flush();
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    let out_path = args.get("out").unwrap_or("trace.json");
-    let capacity = args.get_usize("capacity", 65_536)?;
-    let sample = args.get_u64("sample", 1)?;
-    if sample == 0 {
-        return Err("--sample must be at least 1".into());
-    }
+    let out_path = args.text("out").unwrap_or_default();
     let config = loadgen_config(args, "sessions", "steps")?;
-    if config.sessions == 0 {
-        return Err("--sessions must be at least 1".into());
-    }
     let registry = Registry::enabled();
-    let trace = TraceRing::sampled(capacity, sample);
+    let trace = TraceRing::sampled(args.get("capacity"), args.get("sample"));
     let report = run_loadgen_traced(&config, &registry, &trace);
     print!("{}", render_loadgen_report(&report));
     export::write_text(std::path::Path::new(out_path), &trace.to_chrome_json())
@@ -1214,17 +1257,18 @@ fn parse_label_filter(raw: Option<&str>) -> Result<Vec<(String, String)>, String
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {
-    let out_path = args.get("out").unwrap_or("fleet.evts");
+    let out_path = args.text("out").unwrap_or_default();
+    let addr = args.text("addr");
+    let default_interval = if addr.is_some() { 1.0 } else { 0.05 };
+    let interval = args
+        .duration("interval")
+        .unwrap_or(Duration::from_secs_f64(default_interval));
+    let config = loadgen_config(args, "sessions", "steps")?;
     let mut writer = tsdb::SegmentWriter::create(std::path::Path::new(out_path))
         .map_err(|e| format!("{out_path}: {e}"))?;
-    if let Some(addr) = args.get("addr") {
+    if let Some(addr) = addr {
         // Poll an existing scrape endpoint.
-        let interval = args.get_f64("interval", 1.0)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
-        let for_seconds = args.get_f64("for-seconds", 10.0)?;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(for_seconds);
+        let deadline = Instant::now() + args.duration("for-seconds").unwrap_or_default();
         loop {
             let text = scrape_once(addr)?;
             let samples = export::parse_prometheus(&text)
@@ -1232,29 +1276,17 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             writer
                 .append(now_ms(), &samples)
                 .map_err(|e| format!("{out_path}: {e}"))?;
-            if std::time::Instant::now() >= deadline {
+            if Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            std::thread::sleep(interval);
         }
     } else {
         // Run a loadgen burst in-process and sample its registry live.
-        let interval = args.get_f64("interval", 0.05)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
-        let config = loadgen_config(args, "sessions", "steps")?;
-        if config.sessions == 0 {
-            return Err("--sessions must be at least 1".into());
-        }
-        let sample = args.get_u64("sample", 1)?;
-        if sample == 0 {
-            return Err("--sample must be at least 1".into());
-        }
-        let trace_out = args.get("trace-out");
+        let trace_out = args.text("trace-out");
         let registry = Registry::enabled();
         let trace = match trace_out {
-            Some(_) => TraceRing::sampled(args.get_usize("capacity", 65_536)?, sample),
+            Some(_) => TraceRing::sampled(args.get("capacity"), args.get("sample")),
             None => TraceRing::disabled(),
         };
         let worker = {
@@ -1265,7 +1297,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             writer
                 .append(now_ms(), &export::snapshot_samples(&registry.snapshot()))
                 .map_err(|e| format!("{out_path}: {e}"))?;
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            std::thread::sleep(interval);
         }
         let report = worker.join().map_err(|_| "loadgen thread panicked")?;
         // One final frame so the segment always carries the shutdown
@@ -1325,7 +1357,7 @@ fn trace_span_index(
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
-    let seg_path = args.get("segment").ok_or("missing --segment <seg.evts>")?;
+    let seg_path = args.text("segment").ok_or("missing --segment <seg.evts>")?;
     let segment = tsdb::read_segment(std::path::Path::new(seg_path))?;
     if segment.frames.is_empty() {
         return Err(format!("{seg_path}: segment holds no complete frames"));
@@ -1337,8 +1369,8 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     db.ingest_segment(&segment);
     let t1 = segment.frames.last().map_or(0, |f| f.t_ms);
 
-    if args.flag("exemplars") || args.get("trace").is_some() {
-        let index = match args.get("trace") {
+    if args.switch("exemplars") || args.text("trace").is_some() {
+        let index = match args.text("trace") {
             Some(path) => Some(trace_span_index(path)?),
             None => None,
         };
@@ -1374,7 +1406,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    match args.get("metric") {
+    match args.text("metric") {
         None => {
             println!(
                 "{seg_path}: {} series, {} frames, {:.1} s span{}",
@@ -1397,22 +1429,19 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             }
         }
         Some(metric) => {
-            let labels = parse_label_filter(args.get("labels"))?;
+            let labels = parse_label_filter(args.text("labels"))?;
             let label_refs: Vec<(&str, &str)> = labels
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            let window_s = args.get_u64("window-s", 60)?;
+            let window_s: u64 = args.get("window-s");
             let t0 = t1.saturating_sub(window_s.saturating_mul(1000));
-            if let Some(q_raw) = args.get("quantile") {
-                let q: f64 = q_raw
-                    .parse()
-                    .map_err(|_| format!("--quantile expects a number, got '{q_raw}'"))?;
+            if let Some(q) = args.opt::<f64>("quantile") {
                 let v = db
                     .windowed_quantile(metric, &label_refs, t0, t1, q)
                     .ok_or_else(|| format!("no {metric}_bucket series match"))?;
                 println!("{metric} p{:.0} over {window_s}s: {v}", q * 100.0);
-            } else if args.flag("rate") {
+            } else if args.switch("rate") {
                 let v = db
                     .rate_sum(metric, &label_refs, t0, t1)
                     .ok_or_else(|| format!("no {metric} series match"))?;
@@ -1489,7 +1518,7 @@ fn render_slo_status(statuses: &[slo::RuleStatus]) -> String {
 }
 
 fn cmd_slo(args: &Args) -> Result<(), String> {
-    let rules_text = match args.get("rules") {
+    let rules_text = match args.text("rules") {
         Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
         None => DEFAULT_SLO_RULES.to_owned(),
     };
@@ -1517,7 +1546,7 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
         *last = statuses;
     };
 
-    if let Some(seg_path) = args.get("segment") {
+    if let Some(seg_path) = args.text("segment") {
         let segment = tsdb::read_segment(std::path::Path::new(seg_path))?;
         if segment.frames.is_empty() {
             return Err(format!("{seg_path}: segment holds no complete frames"));
@@ -1536,14 +1565,10 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
             "--- {} frames replayed from {seg_path} ---",
             segment.frames.len()
         );
-    } else if let Some(addr) = args.get("addr") {
-        let interval = args.get_f64("interval", 1.0)?;
-        if interval <= 0.0 {
-            return Err("--interval must be positive".into());
-        }
-        let for_seconds = args.get_f64("for-seconds", 10.0)?;
-        let once = args.flag("once");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(for_seconds);
+    } else if let Some(addr) = args.text("addr") {
+        let interval = args.duration("interval").unwrap_or_default();
+        let once = args.switch("once");
+        let deadline = Instant::now() + args.duration("for-seconds").unwrap_or_default();
         let mut db = Tsdb::new();
         loop {
             let text = scrape_once(addr)?;
@@ -1553,10 +1578,10 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
             db.ingest(t, &samples);
             let statuses = engine.evaluate(&db, t);
             observe(t, statuses, &mut last);
-            if once && std::time::Instant::now() >= deadline {
+            if once && Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+            std::thread::sleep(interval);
         }
     } else {
         return Err("need --segment <seg.evts> or --addr <host:port>".into());
@@ -1572,38 +1597,30 @@ fn cmd_slo(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
+    let Some(name) = argv.first() else {
+        eprint!("{}", usage());
+        return ExitCode::from(2);
     };
-    let rest = Args::parse(&argv[1..]);
-    let outcome = match (command.as_str(), rest) {
-        ("cycles", _) => {
-            cmd_cycles();
-            Ok(())
+    if name == "--help" {
+        eprint!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprint!("evsim: unknown command '{name}'\n\n{}", usage());
+        return ExitCode::from(2);
+    };
+    if argv.iter().any(|a| a == "--help") {
+        eprint!("{}", command.usage());
+        return ExitCode::SUCCESS;
+    }
+    let args = match Args::parse(command, &argv[1..]) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprint!("evsim {name}: {msg}\n\n{}", command.usage());
+            return ExitCode::from(2);
         }
-        ("simulate", Ok(args)) => cmd_simulate(&args),
-        ("compare", Ok(args)) => cmd_compare(&args),
-        ("loadgen", Ok(args)) => cmd_loadgen(&args),
-        ("serve", Ok(args)) => cmd_serve(&args),
-        ("scrape", Ok(args)) => cmd_scrape(&args),
-        ("top", Ok(args)) => cmd_top(&args),
-        ("trace", Ok(args)) => cmd_trace(&args),
-        ("record", Ok(args)) => cmd_record(&args),
-        ("query", Ok(args)) => cmd_query(&args),
-        ("slo", Ok(args)) => cmd_slo(&args),
-        ("validate-telemetry", _) => match argv.get(1) {
-            Some(path) => cmd_validate_telemetry(path),
-            None => Err(format!("missing <path.jsonl>\n{}", usage())),
-        },
-        ("explain", _) => match argv.get(1) {
-            Some(path) => cmd_explain(path),
-            None => Err(format!("missing <dump.jsonl>\n{}", usage())),
-        },
-        (_, Err(e)) => Err(e),
-        (other, _) => Err(format!("unknown command '{other}'\n{}", usage())),
     };
-    match outcome {
+    match (command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -1616,30 +1633,111 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(argv: &[&str]) -> Args {
+    fn parse(command: &str, argv: &[&str]) -> Result<Args, String> {
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == command)
+            .expect("declared command");
         let owned: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
-        Args::parse(&owned).expect("parses")
+        Args::parse(command, &owned)
+    }
+
+    fn rejected(command: &str, argv: &[&str]) -> String {
+        match parse(command, argv) {
+            Err(msg) => msg,
+            Ok(_) => panic!("evsim {command} {argv:?} was accepted"),
+        }
     }
 
     #[test]
     fn parses_pairs_and_flags() {
-        let args = parse(&["--cycle", "nedc", "--precondition", "--ambient", "0"]);
-        assert_eq!(args.get("cycle"), Some("nedc"));
-        assert!(args.flag("precondition"));
-        assert_eq!(args.get_f64("ambient", 35.0).unwrap(), 0.0);
-        assert_eq!(args.get_f64("target", 24.0).unwrap(), 24.0); // default
+        let args = parse(
+            "simulate",
+            &["--cycle", "nedc", "--precondition", "--ambient", "0"],
+        )
+        .expect("parses");
+        assert_eq!(args.text("cycle"), Some("nedc"));
+        assert!(args.switch("precondition"));
+        assert_eq!(args.get::<f64>("ambient"), 0.0);
+        assert_eq!(args.get::<f64>("target"), 24.0); // default
+        assert_eq!(args.text("json"), None);
+        let args = parse("explain", &["dump.jsonl"]).expect("one operand");
+        assert_eq!(args.operand.as_deref(), Some("dump.jsonl"));
     }
 
     #[test]
     fn rejects_positional_arguments() {
-        let owned = vec!["nedc".to_owned()];
-        assert!(Args::parse(&owned).is_err());
+        assert!(rejected("simulate", &["nedc"]).contains("unexpected argument 'nedc'"));
+        assert!(rejected("cycles", &["nedc"]).contains("unexpected"));
+        assert!(rejected("explain", &["a.jsonl", "b.jsonl"]).contains("'b.jsonl'"));
+        assert!(rejected("explain", &[]).contains("missing <dump.jsonl>"));
+        // A value after a switch would otherwise be silently ignored.
+        assert!(rejected("simulate", &["--precondition", "yes"]).contains("takes no value"));
     }
 
     #[test]
     fn rejects_non_numeric_values() {
-        let args = parse(&["--ambient", "hot"]);
-        assert!(args.get_f64("ambient", 35.0).is_err());
+        assert!(rejected("simulate", &["--ambient", "hot"]).contains("a finite number"));
+        assert!(rejected("simulate", &["--ambient", "NaN"]).contains("a finite number"));
+        assert!(rejected("loadgen", &["--sessions", "0"]).contains("at least 1"));
+        assert!(rejected("loadgen", &["--steps", "-3"]).contains("non-negative integer"));
+        assert!(rejected("trace", &["--sample", "0"]).contains("at least 1"));
+        assert!(rejected("top", &["--interval", "0"]).contains("positive"));
+        for secs in ["-1", "inf", "NaN", "1e300"] {
+            assert!(
+                rejected("serve", &["--for-seconds", secs]).contains("seconds"),
+                "--for-seconds {secs}"
+            );
+        }
+        let args = parse("serve", &["--for-seconds", "1.5"]).expect("parses");
+        assert_eq!(
+            args.duration("for-seconds"),
+            Some(Duration::from_millis(1500))
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_repeated_and_valueless_flags() {
+        assert!(rejected("simulate", &["--ambeint", "0"]).contains("unknown flag --ambeint"));
+        assert!(rejected("cycles", &["--bogus"]).contains("unknown flag --bogus"));
+        // Flags are per command: `--cycle` belongs to simulate, not loadgen.
+        assert!(rejected("loadgen", &["--cycle", "udds"]).contains("unknown flag"));
+        assert!(
+            rejected("simulate", &["--cycle", "ece15", "--cycle", "udds"])
+                .contains("more than once")
+        );
+        assert!(rejected("trace", &["--sample"]).contains("needs a value"));
+        assert!(rejected("trace", &["--sample", "--seed", "1"]).contains("needs a value"));
+    }
+
+    #[test]
+    fn every_declared_default_parses_and_names_are_unique() {
+        for command in COMMANDS {
+            let names: Vec<&str> = command.flags().map(|f| f.name).collect();
+            for (i, name) in names.iter().enumerate() {
+                assert!(
+                    !names[..i].contains(name),
+                    "evsim {} declares --{name} twice",
+                    command.name
+                );
+            }
+            for f in command.flags() {
+                if let Some(default) = f.default {
+                    assert!(
+                        f.kind.accepts(default),
+                        "evsim {} --{} default '{default}'",
+                        command.name,
+                        f.name
+                    );
+                }
+            }
+            let usage = command.usage();
+            assert!(usage.starts_with(&format!("usage: evsim {}", command.name)));
+            assert!(command
+                .flags()
+                .all(|f| usage.contains(&format!("--{} ", f.name))));
+            assert!(super::usage().contains(command.about));
+        }
     }
 
     #[test]
@@ -1648,73 +1746,6 @@ mod tests {
         assert!(cycle_by_name("ece-eudc").is_some());
         assert!(cycle_by_name("wltc3").is_some());
         assert!(cycle_by_name("imaginary").is_none());
-    }
-
-    #[test]
-    fn validates_exported_jsonl() {
-        let registry = Registry::enabled();
-        registry.counter("solves_total").add(7);
-        registry.gauge("queue_depth").set(3.5);
-        registry
-            .counter_with("fleet_steps_total", &[("shard", "0")])
-            .add(12);
-        registry
-            .histogram_with(
-                "fleet_cmd_seconds",
-                evclimate::telemetry::HistogramSpec::latency_seconds(),
-                &[("cmd", "step"), ("shard", "0")],
-            )
-            .record(2e-3);
-        registry
-            .histogram(
-                "step_seconds",
-                evclimate::telemetry::HistogramSpec::latency_seconds(),
-            )
-            .record(1e-3);
-        let jsonl = export::to_jsonl(&registry.snapshot());
-        assert!(jsonl.contains("\"labels\""), "{jsonl}");
-        for line in jsonl.lines() {
-            validate_metric_line(line).expect("exported line is schema-valid");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_metric_lines() {
-        // Fractional counter value.
-        assert!(validate_metric_line(r#"{"type":"counter","name":"x","value":1.5}"#).is_err());
-        // Gauges are a first-class type: any float, null when non-finite.
-        assert_eq!(
-            validate_metric_line(r#"{"type":"gauge","name":"x","value":1.5}"#),
-            Ok("gauge")
-        );
-        assert_eq!(
-            validate_metric_line(r#"{"type":"gauge","name":"x","value":null}"#),
-            Ok("gauge")
-        );
-        // Unknown type tag.
-        assert!(validate_metric_line(r#"{"type":"summary","name":"x","value":1}"#).is_err());
-        // Labels must be an object of string values.
-        assert_eq!(
-            validate_metric_line(
-                r#"{"type":"counter","name":"x","labels":{"shard":"0"},"value":1}"#
-            ),
-            Ok("counter")
-        );
-        assert!(validate_metric_line(
-            r#"{"type":"counter","name":"x","labels":["shard"],"value":1}"#
-        )
-        .is_err());
-        assert!(validate_metric_line(
-            r#"{"type":"counter","name":"x","labels":{"shard":0},"value":1}"#
-        )
-        .is_err());
-        // Histogram whose bucket counts do not add up.
-        assert!(validate_metric_line(
-            r#"{"type":"histogram","name":"h","count":3,"sum":1.0,"min":0.1,"max":0.9,"buckets":[{"le":1.0,"count":1}],"overflow":0}"#
-        )
-        .is_err());
-        // Not JSON at all.
-        assert!(validate_metric_line("plain text").is_err());
     }
 
     fn synthetic_dump() -> String {
@@ -1859,16 +1890,20 @@ mod tests {
 
     #[test]
     fn loadgen_config_reads_flags_and_keeps_defaults() {
-        let args = parse(&[
-            "--sessions",
-            "7",
-            "--steps",
-            "11",
-            "--seed",
-            "99",
-            "--controller",
-            "onoff",
-        ]);
+        let args = parse(
+            "loadgen",
+            &[
+                "--sessions",
+                "7",
+                "--steps",
+                "11",
+                "--seed",
+                "99",
+                "--controller",
+                "onoff",
+            ],
+        )
+        .expect("parses");
         let config = loadgen_config(&args, "sessions", "steps").expect("parses");
         let defaults = LoadgenConfig::default();
         assert_eq!(config.sessions, 7);
@@ -1878,7 +1913,28 @@ mod tests {
         assert_eq!(config.chunk, defaults.chunk);
         assert_eq!(config.queue_capacity, defaults.queue_capacity);
 
-        let bad = parse(&["--controller", "thermostat"]);
+        // The declared defaults are LoadgenConfig's, on every fleet command.
+        for command in ["loadgen", "trace", "record"] {
+            let args = parse(command, &[]).expect("no flags parse");
+            let config = loadgen_config(&args, "sessions", "steps").expect("defaults");
+            assert_eq!(config.sessions, defaults.sessions);
+            assert_eq!(config.steps_per_session, defaults.steps_per_session);
+            assert_eq!(config.chunk, defaults.chunk);
+            assert_eq!(config.seed, defaults.seed);
+            assert_eq!(config.shards, defaults.shards);
+            assert_eq!(config.queue_capacity, defaults.queue_capacity);
+            assert!(matches!(config.controller, ControllerKind::Mpc));
+            assert_eq!(config.max_sqp_iterations, None);
+        }
+        // serve's burst is off by default and 60 steps long when on.
+        let args = parse("serve", &["--burst-sessions", "3"]).expect("parses");
+        let config = loadgen_config(&args, "burst-sessions", "burst-steps").expect("parses");
+        assert_eq!((config.sessions, config.steps_per_session), (3, 60));
+        let args = parse("serve", &[]).expect("parses");
+        let config = loadgen_config(&args, "burst-sessions", "burst-steps").expect("parses");
+        assert_eq!(config.sessions, 0);
+
+        let bad = parse("loadgen", &["--controller", "thermostat"]).expect("parses");
         assert!(loadgen_config(&bad, "sessions", "steps").is_err());
     }
 
