@@ -15,13 +15,14 @@ use ev_bench::{bench_context, bench_preview, paper_mpc, run_mpc_cell};
 use ev_control::{ClimateController, MpcController};
 use ev_core::EvParams;
 use ev_drive::DriveCycle;
+use ev_linalg::SparseMatrix;
 use ev_optim::NlpProblem;
 
 /// One gradient + inequality-Jacobian evaluation of the paper MPC's NLP
-/// (32 variables, 104 constraints): the analytic adjoint/sensitivity
-/// sweeps against the central-difference fallback the solver would
-/// otherwise use. This is where the exact-derivative speedup lives —
-/// end-to-end solves dilute it with QP time.
+/// (32 variables, 104 constraints): the analytic adjoint sweep and CSR
+/// forward-sensitivity Jacobian against the central-difference fallback
+/// the solver would otherwise use. This is where the exact-derivative
+/// speedup lives — end-to-end solves dilute it with QP time.
 fn bench_derivative_eval(c: &mut Criterion) {
     let params = EvParams::nissan_leaf_like();
     let mpc = paper_mpc(&params);
@@ -39,12 +40,14 @@ fn bench_derivative_eval(c: &mut Criterion) {
     group.bench_function("derivative_eval_analytic", |b| {
         let mut z = base.clone();
         let mut grad = vec![0.0; n];
+        let mut jac = SparseMatrix::new();
         b.iter(|| {
             // Nudge the iterate so the shared-rollout cache cannot hide
             // the forward pass.
             z[0] += 1e-9;
             nlp.gradient(black_box(&z), &mut grad);
-            black_box(nlp.ineq_jacobian(black_box(&z)));
+            nlp.ineq_jacobian_into(black_box(&z), &mut jac);
+            black_box(jac.nnz());
             black_box(grad[0])
         })
     });

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 
 use ev_hvac::{Hvac, HvacInput, HvacLimits};
-use ev_linalg::{Matrix, SparseMatrix};
+use ev_linalg::SparseMatrix;
 use ev_optim::{
     NlpProblem, NoopSqpObserver, OptimError, QpStructure, QpSubproblemStatus, QpWarmStart,
     SqpIterationRecord, SqpObserver, SqpOptions, SqpResult, SqpSolver, SqpStatus,
@@ -1252,115 +1252,13 @@ impl MpcNlp<'_> {
         }
     }
 
-    /// Exact inequality Jacobian by forward sensitivity accumulation.
-    ///
-    /// `stz` carries `∂Tz_{k−1}/∂z` into step `k` (nonzero only in the
-    /// `ts`/`mz` columns of earlier steps — the cabin recursion never sees
-    /// `tc` or `dr`); each constraint row is assembled from it and the
-    /// step-local partials recorded by the rollout.
-    fn ineq_jacobian_of(&self, z: &[f64], r: &Rollout) -> Matrix {
-        let n = self.horizon * VARS_PER_STEP;
-        let cabin = self.hvac.cabin();
-        let cp = cabin.air_heat_capacity.value();
-        let hp = self.hvac.params();
-        let ch = cp / hp.heater_efficiency;
-        let cc = cp / hp.cooler_efficiency;
-        let kf = hp.fan_coefficient;
-        let min_coil = hp.min_coil_temp.value();
-
-        let mut jac = Matrix::zeros(self.horizon * INEQ_PER_STEP, n);
-        // ∂Tz_{k−1}/∂z entering the step below (zero for k = 0).
-        let mut stz = vec![0.0; n];
-        // ∂tm_k/∂z scratch row.
-        let mut stm = vec![0.0; n];
-        for k in 0..self.horizon {
-            let (ts, tc, dr, mz) = Self::decode(z, k);
-            let to = self.preview[k].ambient.value();
-            let tz_in = self.tz_in(r, k);
-            let tz_k = r.tz[k];
-            let o = k * INEQ_PER_STEP;
-            let c_ts = k * VARS_PER_STEP;
-            let c_tc = c_ts + 1;
-            let c_dr = c_ts + 2;
-            let c_mz = c_ts + 3;
-
-            // tm_k = (1−dr)·To + dr·Tz_{k−1}.
-            for (sm, sz) in stm.iter_mut().zip(&stz) {
-                *sm = dr * sz;
-            }
-            stm[c_dr] += tz_in - to;
-
-            // Rows with only step-local entries.
-            jac.set(o, c_mz, -MZ_SCALE); // C1 lower
-            jac.set(o + 1, c_mz, MZ_SCALE); // C1 upper
-            jac.set(o + 2, c_dr, -1.0); // C7 lower
-            jac.set(o + 3, c_dr, 1.0); // C7 upper
-                                       // C5: floor is the coil minimum (constant) unless the passive
-                                       // mix is colder — then it tracks tm and inherits its
-                                       // sensitivities. Branch matches the value computation.
-            if r.tm[k] < min_coil {
-                let row = jac.row_mut(o + 4);
-                row.copy_from_slice(&stm);
-                row[c_tc] -= TC_SCALE;
-            } else {
-                jac.set(o + 4, c_tc, -TC_SCALE);
-            }
-            // C4: tc − tm.
-            {
-                let row = jac.row_mut(o + 5);
-                for (out, sm) in row.iter_mut().zip(&stm) {
-                    *out = -sm;
-                }
-                row[c_tc] += TC_SCALE;
-            }
-            jac.set(o + 6, c_tc, TC_SCALE); // C3
-            jac.set(o + 6, c_ts, -TS_SCALE);
-            jac.set(o + 7, c_ts, TS_SCALE); // C6
-                                            // Advance the cabin sensitivity to ∂Tz_k/∂z before the C2 rows
-                                            // (they read the post-step state).
-            let d_tz_d_ts = mz * cp * r.inv_den[k];
-            let d_tz_d_mz = cp * (ts - 0.5 * (tz_in + tz_k)) * r.inv_den[k];
-            for s in stz.iter_mut() {
-                *s *= r.alpha[k];
-            }
-            stz[c_ts] += d_tz_d_ts * TS_SCALE;
-            stz[c_mz] += d_tz_d_mz * MZ_SCALE;
-            {
-                let row = jac.row_mut(o + 8); // C2 lower: lo − Tz_k
-                for (out, s) in row.iter_mut().zip(&stz) {
-                    *out = -s;
-                }
-            }
-            {
-                let row = jac.row_mut(o + 9); // C2 upper: Tz_k − hi
-                row.copy_from_slice(&stz);
-            }
-            // C8: ph = ch·mz·(ts − tc).
-            jac.set(o + 10, c_ts, ch * mz * TS_SCALE);
-            jac.set(o + 10, c_tc, -ch * mz * TC_SCALE);
-            jac.set(o + 10, c_mz, ch * (ts - tc) * MZ_SCALE);
-            // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities.
-            {
-                let row = jac.row_mut(o + 11);
-                for (out, sm) in row.iter_mut().zip(&stm) {
-                    *out = cc * mz * sm;
-                }
-                row[c_tc] -= cc * mz * TC_SCALE;
-                row[c_mz] += cc * (r.tm[k] - tc) * MZ_SCALE;
-            }
-            // C10: pf = kf·mz².
-            jac.set(o + 12, c_mz, 2.0 * kf * mz * MZ_SCALE);
-        }
-        jac
-    }
-
-    /// Exact inequality Jacobian emitted directly in CSR form — no dense
-    /// densification pass. Same forward-sensitivity recursion as
-    /// [`MpcNlp::ineq_jacobian_of`], but the cabin sensitivity is kept as
-    /// two per-step coefficient arrays (`∂Tz/∂ts_j`, `∂Tz/∂mz_j`), so
-    /// each coupling row pushes exactly its prefix of nonzero columns in
-    /// ascending order. The nine step-local rows shrink from `n` dense
-    /// entries to 1–3 stored ones.
+    /// Exact inequality Jacobian in CSR form, by forward sensitivity
+    /// accumulation. The cabin sensitivity `∂Tz_{k−1}/∂z` is nonzero only
+    /// in the `ts`/`mz` columns of earlier steps (the cabin recursion never
+    /// sees `tc` or `dr`), so it is kept as two per-step coefficient
+    /// arrays (`∂Tz/∂ts_j`, `∂Tz/∂mz_j`) and each coupling row pushes
+    /// exactly its prefix of nonzero columns in ascending order. The nine
+    /// step-local rows store 1–3 entries each.
     fn ineq_jacobian_sparse_of(&self, z: &[f64], r: &Rollout, out: &mut SparseMatrix) {
         let n = self.horizon * VARS_PER_STEP;
         let cabin = self.hvac.cabin();
@@ -1457,8 +1355,7 @@ impl MpcNlp<'_> {
             out.push(c_mz, ch * (ts - tc) * MZ_SCALE);
             out.finish_row();
             // C9: pc = cc·mz·(tm − tc) — inherits tm's sensitivities
-            // (via the *incoming* cabin state). Grouping matches the dense
-            // path's `cc·mz·(dr·stz)` so both emit identical bits.
+            // (via the *incoming* cabin state), grouped `cc·mz·(dr·stz)`.
             for j in 0..k {
                 out.push(j * VARS_PER_STEP, cc * mz * (dr * stz_ts[j]));
                 out.push(j * VARS_PER_STEP + 3, cc * mz * (dr * stz_mz[j]));
@@ -1497,13 +1394,8 @@ impl NlpProblem for MpcNlp<'_> {
         self.with_rollout(z, |r| self.constraints_of(z, r, out));
     }
 
-    fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
-        self.with_rollout(z, |r| self.ineq_jacobian_of(z, r))
-    }
-
-    fn ineq_jacobian_sparse_into(&self, z: &[f64], out: &mut SparseMatrix) -> bool {
+    fn ineq_jacobian_into(&self, z: &[f64], out: &mut SparseMatrix) {
         self.with_rollout(z, |r| self.ineq_jacobian_sparse_of(z, r, out));
-        true
     }
 
     fn has_exact_derivatives(&self) -> bool {
@@ -1731,7 +1623,7 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
     /// Exact equality Jacobian in CSR form: row `k` touches
     /// `tzv_{k−1}` (the incoming state), `ts_k`/`mz_k` (through the
     /// prediction) and `tzv_k` — four entries, one-step lookback.
-    fn eq_jacobian_sparse_into(&self, z: &[f64], out: &mut SparseMatrix) -> bool {
+    fn eq_jacobian_into(&self, z: &[f64], out: &mut SparseMatrix) {
         self.with_rollout(z, |r| {
             let b = self.base;
             let cp = b.hvac.cabin().air_heat_capacity.value();
@@ -1751,7 +1643,6 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
                 out.finish_row();
             }
         });
-        true
     }
 
     fn num_ineq(&self) -> usize {
@@ -1796,7 +1687,7 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
     /// Exact inequality Jacobian in CSR form. Every row is step-local
     /// except the mix-temperature path `∂tm_k/∂tzv_{k−1} = dr_k·10`
     /// (C4, the C5 cold branch, C9), which reaches exactly one block back.
-    fn ineq_jacobian_sparse_into(&self, z: &[f64], out: &mut SparseMatrix) -> bool {
+    fn ineq_jacobian_into(&self, z: &[f64], out: &mut SparseMatrix) {
         self.with_rollout(z, |r| {
             let b = self.base;
             let cp = b.hvac.cabin().air_heat_capacity.value();
@@ -1872,7 +1763,6 @@ impl NlpProblem for MsMpcNlp<'_, '_> {
                 out.finish_row();
             }
         });
-        true
     }
 
     fn qp_structure(&self) -> Option<QpStructure> {
@@ -2132,7 +2022,9 @@ mod tests {
             for k in 0..c.horizon() {
                 z[k * VARS_PER_STEP + 2] = dr;
             }
-            let jac = nlp.ineq_jacobian(&z);
+            let mut csr = SparseMatrix::new();
+            nlp.ineq_jacobian_into(&z, &mut csr);
+            let jac = csr.to_dense();
             let m = nlp.num_ineq();
             let fd_rows = ev_optim::finite_diff::jacobian(
                 &|p: &[f64], out: &mut [f64]| nlp.ineq_constraints(p, out),
@@ -2147,39 +2039,6 @@ mod tests {
                     assert!(
                         ((a - f) / scale).abs() < 1e-5,
                         "row {r} col {cidx} (to {to}): analytic {a} vs fd {f}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn condensed_sparse_jacobian_matches_dense() {
-        // Hot case: constant coil floor; cold case: tm-tracking C5 branch.
-        for (tz0, to, dr) in [(27.0, 35.0, 0.6), (18.0, -15.0, 0.1)] {
-            let c = mpc();
-            let preview = preview_const(9_000.0, to, 24);
-            let context = ctx(tz0, to, &preview);
-            let nlp = c.build_nlp(&context);
-            let mut z = c.cold_start(&context);
-            for (i, zi) in z.iter_mut().enumerate() {
-                *zi += 0.008 * (i as f64 % 5.0 - 2.0);
-            }
-            for k in 0..c.horizon() {
-                z[k * VARS_PER_STEP + 2] = dr;
-            }
-            let r = nlp.rollout(&z);
-            let dense = nlp.ineq_jacobian_of(&z, &r);
-            let mut sparse = SparseMatrix::new();
-            nlp.ineq_jacobian_sparse_of(&z, &r, &mut sparse);
-            assert_eq!(sparse.rows(), dense.rows());
-            let sd = sparse.to_dense();
-            for row in 0..dense.rows() {
-                for col in 0..dense.cols() {
-                    let (a, b) = (dense.get(row, col), sd.get(row, col));
-                    assert!(
-                        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0),
-                        "row {row} col {col} (to {to}): dense {a:e} vs sparse {b:e}"
                     );
                 }
             }
@@ -2248,7 +2107,7 @@ mod tests {
             let ms = MsMpcNlp::new(&nlp);
 
             let mut eq_sparse = SparseMatrix::new();
-            assert!(ms.eq_jacobian_sparse_into(&z, &mut eq_sparse));
+            ms.eq_jacobian_into(&z, &mut eq_sparse);
             let eq = eq_sparse.to_dense();
             let fd_eq = ev_optim::finite_diff::jacobian(
                 &|p: &[f64], out: &mut [f64]| ms.eq_constraints(p, out),
@@ -2267,7 +2126,7 @@ mod tests {
             }
 
             let mut in_sparse = SparseMatrix::new();
-            assert!(ms.ineq_jacobian_sparse_into(&z, &mut in_sparse));
+            ms.ineq_jacobian_into(&z, &mut in_sparse);
             let jin = in_sparse.to_dense();
             let fd_in = ev_optim::finite_diff::jacobian(
                 &|p: &[f64], out: &mut [f64]| ms.ineq_constraints(p, out),
@@ -2299,7 +2158,7 @@ mod tests {
             (MS_VARS_PER_STEP, 1, 1)
         );
         let mut jac = SparseMatrix::new();
-        assert!(ms.ineq_jacobian_sparse_into(&z, &mut jac));
+        ms.ineq_jacobian_into(&z, &mut jac);
         for row in 0..jac.rows() {
             let (cols, _) = jac.row(row);
             if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
@@ -2311,7 +2170,7 @@ mod tests {
             }
         }
         let mut eq = SparseMatrix::new();
-        assert!(ms.eq_jacobian_sparse_into(&z, &mut eq));
+        ms.eq_jacobian_into(&z, &mut eq);
         for row in 0..eq.rows() {
             let (cols, _) = eq.row(row);
             for &cidx in cols {

@@ -126,10 +126,17 @@ impl SparseMatrix {
         }
     }
 
-    /// Largest absolute stored entry (zero for an empty matrix).
+    /// Largest absolute stored entry (zero for an empty matrix). Skips
+    /// NaN, like [`f64::max`]; check [`SparseMatrix::is_finite`] first.
     #[must_use]
     pub fn norm_max(&self) -> f64 {
         self.values.iter().fold(0.0, |m, v| m.max(v.abs()))
+    }
+
+    /// Whether every stored entry is finite (no NaN or ±∞).
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        self.values.iter().all(|v| v.is_finite())
     }
 
     /// Computes `out = A·x`.
@@ -197,6 +204,8 @@ impl SparseMatrix {
     }
 
     /// Builds a CSR copy of `a`, dropping entries with `|a_ij| <= drop_tol`.
+    /// Non-finite entries are always kept, so a NaN cannot vanish in the
+    /// conversion.
     #[must_use]
     pub fn from_dense(a: &Matrix, drop_tol: f64) -> Self {
         let mut s = Self::new();
@@ -204,7 +213,7 @@ impl SparseMatrix {
         for r in 0..a.rows() {
             for c in 0..a.cols() {
                 let v = a.get(r, c);
-                if v.abs() > drop_tol {
+                if v.abs() > drop_tol || !v.is_finite() {
                     s.push(c, v);
                 }
             }
@@ -266,6 +275,16 @@ mod tests {
         let d = example().to_dense();
         let s = SparseMatrix::from_dense(&d, 0.0);
         assert_eq!(s, example());
+    }
+
+    #[test]
+    fn from_dense_keeps_non_finite_entries() {
+        let d = Matrix::from_rows(&[&[1.0, f64::NAN, 0.0], &[0.0, 0.0, f64::INFINITY]]).unwrap();
+        let s = SparseMatrix::from_dense(&d, 1e-3);
+        assert_eq!(s.nnz(), 3);
+        assert!(s.get(0, 1).is_nan());
+        assert!(!s.is_finite());
+        assert!(example().is_finite());
     }
 
     #[test]

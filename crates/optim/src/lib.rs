@@ -4,11 +4,13 @@
 //! Quadratic Programming (its Section III, citing Kelman & Borrelli). This
 //! crate provides that machinery from scratch:
 //!
-//! * [`QpSolver`] — a dense convex quadratic program solver
+//! * [`QpSolver`] — a convex quadratic program solver
 //!   (minimize ½ zᵀHz + gᵀz subject to linear equalities and inequalities)
 //!   implemented as an infeasible-start primal-dual interior-point method.
 //!   No Phase-I is needed, which makes it robust as the inner engine of an
-//!   SQP loop.
+//!   SQP loop. Constraint Jacobians are CSR ([`ev_linalg::SparseMatrix`])
+//!   throughout: [`QpView`] borrows them, and [`QpProblem`] converts dense
+//!   input once, on entry.
 //! * [`SqpSolver`] — sequential quadratic programming for smooth nonlinear
 //!   programs expressed through the [`NlpProblem`] trait, with damped-BFGS
 //!   Hessian approximation, an L1 merit line search, and elastic-mode
@@ -19,7 +21,8 @@
 //!
 //! # Examples
 //!
-//! Minimize `(z₀−1)² + (z₁−2)²` subject to `z₀ + z₁ = 2` and `z₀ ≤ 0.25`:
+//! Minimize `(z₀−1)² + (z₁−2)²` subject to `z₀ + z₁ = 2` and `z₀ ≤ 0.25`,
+//! from dense data:
 //!
 //! ```
 //! use ev_optim::{QpProblem, QpSolver};

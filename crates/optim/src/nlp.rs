@@ -1,6 +1,6 @@
 //! The nonlinear-program interface consumed by the SQP solver.
 
-use ev_linalg::{Matrix, SparseMatrix};
+use ev_linalg::SparseMatrix;
 
 use crate::{finite_diff, QpStructure};
 
@@ -16,7 +16,8 @@ use crate::{finite_diff, QpStructure};
 /// and Jacobians default to central finite differences
 /// ([`crate::finite_diff`]), which is accurate enough for the smooth,
 /// well-scaled MPC problems in this workspace. Override them for speed or
-/// extra precision.
+/// extra precision. Constraint Jacobians are always CSR
+/// ([`SparseMatrix`]), the one format the SQP and its QP consume.
 ///
 /// # Examples
 ///
@@ -46,11 +47,11 @@ pub trait NlpProblem {
     ///
     /// Returns `false` for implementations relying on the default
     /// central-difference [`gradient`](Self::gradient) /
-    /// [`eq_jacobian`](Self::eq_jacobian) /
-    /// [`ineq_jacobian`](Self::ineq_jacobian) — the documented fallback
-    /// path. Implementations overriding those with exact derivatives
-    /// should also override this to `true` so harnesses (benchmarks,
-    /// derivative cross-checks) can tell the two apart.
+    /// [`eq_jacobian_into`](Self::eq_jacobian_into) /
+    /// [`ineq_jacobian_into`](Self::ineq_jacobian_into) — the documented
+    /// fallback path. Implementations overriding those with exact
+    /// derivatives should also override this to `true` so harnesses
+    /// (benchmarks, derivative cross-checks) can tell the two apart.
     fn has_exact_derivatives(&self) -> bool {
         false
     }
@@ -77,15 +78,18 @@ pub trait NlpProblem {
         );
     }
 
-    /// Jacobian of the equality constraints (`num_eq × num_vars`).
-    /// Defaults to central differences.
-    fn eq_jacobian(&self, z: &[f64]) -> Matrix {
-        jacobian_matrix(
-            &|p: &[f64], out: &mut [f64]| self.eq_constraints(p, out),
+    /// Writes the Jacobian of the equality constraints
+    /// (`num_eq × num_vars`) into `out`. Defaults to central differences.
+    /// Implementations must reuse `out`'s storage
+    /// ([`SparseMatrix::reset`]) so the SQP loop stays allocation-free
+    /// after warm-up.
+    fn eq_jacobian_into(&self, z: &[f64], out: &mut SparseMatrix) {
+        finite_diff_jacobian_into(
+            &|p: &[f64], c: &mut [f64]| self.eq_constraints(p, c),
             z,
             self.num_eq(),
-            self.num_vars(),
-        )
+            out,
+        );
     }
 
     /// Number of inequality constraints. Defaults to zero.
@@ -104,31 +108,17 @@ pub trait NlpProblem {
         );
     }
 
-    /// Jacobian of the inequality constraints (`num_ineq × num_vars`).
-    /// Defaults to central differences.
-    fn ineq_jacobian(&self, z: &[f64]) -> Matrix {
-        jacobian_matrix(
-            &|p: &[f64], out: &mut [f64]| self.ineq_constraints(p, out),
+    /// Writes the Jacobian of the inequality constraints
+    /// (`num_ineq × num_vars`) into `out`, like
+    /// [`eq_jacobian_into`](Self::eq_jacobian_into). Defaults to central
+    /// differences.
+    fn ineq_jacobian_into(&self, z: &[f64], out: &mut SparseMatrix) {
+        finite_diff_jacobian_into(
+            &|p: &[f64], c: &mut [f64]| self.ineq_constraints(p, c),
             z,
             self.num_ineq(),
-            self.num_vars(),
-        )
-    }
-
-    /// Fills `out` with the inequality Jacobian in CSR form and returns
-    /// `true`, or returns `false` (the default) when this problem only
-    /// produces dense Jacobians. Implementations must reuse `out`'s
-    /// storage ([`SparseMatrix::reset`]) so the SQP loop stays
-    /// allocation-free after warm-up.
-    fn ineq_jacobian_sparse_into(&self, _z: &[f64], _out: &mut SparseMatrix) -> bool {
-        false
-    }
-
-    /// Fills `out` with the equality Jacobian in CSR form and returns
-    /// `true`, or returns `false` (the default) when this problem only
-    /// produces dense Jacobians.
-    fn eq_jacobian_sparse_into(&self, _z: &[f64], _out: &mut SparseMatrix) -> bool {
-        false
+            out,
+        );
     }
 
     /// The block-banded horizon structure of this problem's QP
@@ -140,14 +130,26 @@ pub trait NlpProblem {
     }
 }
 
-/// Builds an `m × n` [`Matrix`] Jacobian via finite differences.
-fn jacobian_matrix(f: &dyn Fn(&[f64], &mut [f64]), z: &[f64], m: usize, n: usize) -> Matrix {
+/// Writes the `m × z.len()` central-difference Jacobian of `f` into `out`
+/// as CSR, storing every entry that is not exactly zero (NaN included).
+fn finite_diff_jacobian_into(
+    f: &dyn Fn(&[f64], &mut [f64]),
+    z: &[f64],
+    m: usize,
+    out: &mut SparseMatrix,
+) {
+    out.reset(z.len());
     if m == 0 {
-        return Matrix::zeros(0, n.max(1));
+        return;
     }
-    let rows = finite_diff::jacobian(f, z, m);
-    let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    Matrix::from_rows(&refs).expect("finite-difference jacobian is rectangular")
+    for row in finite_diff::jacobian(f, z, m) {
+        for (c, v) in row.into_iter().enumerate() {
+            if v != 0.0 {
+                out.push(c, v);
+            }
+        }
+        out.finish_row();
+    }
 }
 
 #[cfg(test)]
@@ -194,10 +196,59 @@ mod tests {
 
     #[test]
     fn default_eq_jacobian() {
-        let j = Circle.eq_jacobian(&[1.0, -1.0]);
-        assert_eq!(j.shape(), (1, 2));
+        let mut j = SparseMatrix::new();
+        Circle.eq_jacobian_into(&[1.0, -1.0], &mut j);
+        assert_eq!((j.rows(), j.cols()), (1, 2));
         assert!((j.get(0, 0) - 2.0).abs() < 1e-6);
         assert!((j.get(0, 1) + 2.0).abs() < 1e-6);
+    }
+
+    /// `c = (z0·z1, z1 − 3, NaN)` at `z = (2, 0)`: the central differences
+    /// are `[[0, 2], [0, 1], [NaN, NaN]]`.
+    struct Mixed;
+    impl NlpProblem for Mixed {
+        fn num_vars(&self) -> usize {
+            2
+        }
+        fn objective(&self, _z: &[f64]) -> f64 {
+            0.0
+        }
+        fn num_ineq(&self) -> usize {
+            3
+        }
+        fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
+            out[0] = z[0] * z[1];
+            out[1] = z[1] - 3.0;
+            out[2] = f64::NAN;
+        }
+    }
+
+    #[test]
+    fn default_ineq_jacobian_is_sparse_and_keeps_nan() {
+        let z = [2.0, 0.0];
+        let mut j = SparseMatrix::new();
+        // A stale pattern in `out` is replaced, not appended to.
+        j.reset(5);
+        j.push(4, 1.0);
+        j.finish_row();
+        Mixed.ineq_jacobian_into(&z, &mut j);
+        assert_eq!((j.rows(), j.cols()), (3, 2));
+        // Exact zeros are not stored; NaN is, so the QP's check sees it.
+        assert_eq!(j.row(0).0, &[1]);
+        assert_eq!(j.row(1).0, &[1]);
+        assert_eq!(j.row(2).0, &[0, 1]);
+        assert!(!j.is_finite());
+        let fd = finite_diff::jacobian(
+            &|p: &[f64], out: &mut [f64]| Mixed.ineq_constraints(p, out),
+            &z,
+            3,
+        );
+        let dense = j.to_dense();
+        for (r, fd_row) in fd.iter().enumerate().take(2) {
+            for (c, f) in fd_row.iter().enumerate() {
+                assert_eq!(dense.get(r, c).to_bits(), f.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -228,6 +279,8 @@ mod tests {
         Rosenbrock.ineq_constraints(&[0.0, 0.0], &mut out);
         assert_eq!(Rosenbrock.num_eq(), 0);
         assert_eq!(Rosenbrock.num_ineq(), 0);
-        assert_eq!(Rosenbrock.eq_jacobian(&[0.0, 0.0]).rows(), 0);
+        let mut j = SparseMatrix::new();
+        Rosenbrock.eq_jacobian_into(&[0.0, 0.0], &mut j);
+        assert_eq!((j.rows(), j.cols()), (0, 2));
     }
 }

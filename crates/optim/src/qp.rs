@@ -2,14 +2,13 @@
 //! interior-point method (Mehrotra predictor–corrector).
 //!
 //! The reduced KKT system `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` is assembled from
-//! either dense or sparse (CSR) constraint Jacobians and factored by one of
-//! three interchangeable backends: dense LU (the indefinite-safe oracle),
-//! dense Cholesky (when there are no equality constraints the reduced
-//! matrix is SPD), or — when the problem declares its horizon structure via
-//! [`QpStructure`] — a banded LDLᵀ under a stage-interleaved permutation,
-//! making each interior-point iteration `O(N)` in the horizon length.
+//! sparse (CSR) constraint Jacobians and factored by one of two backends:
+//! dense LU (the generic, indefinite-safe oracle) or — when the problem
+//! declares its horizon structure via [`QpStructure`] — a banded LDLᵀ under
+//! a stage-interleaved permutation, making each interior-point iteration
+//! `O(N)` in the horizon length.
 
-use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Cholesky, Lu, Matrix, SparseMatrix};
+use ev_linalg::{vecops, BandedCholesky, BandedMatrix, Lu, Matrix, SparseMatrix};
 
 use crate::OptimError;
 
@@ -27,8 +26,8 @@ use crate::OptimError;
 /// `(lookback + 1)·(vars_per_block + eq_per_block) − 1`, which the solver
 /// factors with [`ev_linalg::BandedCholesky`] in time linear in the number
 /// of stages. Structure is advisory: if the declared shape does not match
-/// the supplied (sparse) Jacobians the solver silently falls back to the
-/// dense path, which remains the correctness oracle.
+/// the supplied Jacobians the solver silently falls back to the dense
+/// path, which remains the correctness oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QpStructure {
     /// Decision variables per stage block.
@@ -53,55 +52,21 @@ impl QpStructure {
 pub enum QpKktBackend {
     /// Dense LU with partial pivoting (fallback and correctness oracle).
     DenseLu,
-    /// Dense Cholesky on the SPD reduced system (no equality constraints).
-    DenseCholesky,
     /// Banded LDLᵀ under the stage-interleaved permutation declared by
     /// [`QpStructure`].
     Banded,
 }
 
-/// A constraint Jacobian borrowed in either dense or CSR form.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ConstraintRef<'a> {
-    Dense(&'a Matrix),
-    Sparse(&'a SparseMatrix),
+/// `out = A·x` for a CSR Jacobian whose shape the view already checked.
+pub(crate) fn csr_matvec(a: &SparseMatrix, x: &[f64], out: &mut [f64]) {
+    a.matvec(x, out).expect("dimensions checked at view build");
 }
 
-impl ConstraintRef<'_> {
-    pub(crate) fn norm_max(&self) -> f64 {
-        match self {
-            Self::Dense(m) => m.norm_max(),
-            Self::Sparse(s) => s.norm_max(),
-        }
-    }
-
-    /// `out = A·x` without allocating.
-    pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        match self {
-            Self::Dense(m) => {
-                for r in 0..m.rows() {
-                    out[r] = vecops::dot(m.row(r), x);
-                }
-            }
-            Self::Sparse(s) => s.matvec(x, out).expect("dimensions checked at view build"),
-        }
-    }
-
-    /// `out += coeff · row_i` (length `cols`).
-    pub(crate) fn add_scaled_row(&self, i: usize, coeff: f64, out: &mut [f64]) {
-        match self {
-            Self::Dense(m) => {
-                for (o, v) in out.iter_mut().zip(m.row(i)) {
-                    *o += coeff * v;
-                }
-            }
-            Self::Sparse(s) => {
-                let (cols, vals) = s.row(i);
-                for (c, v) in cols.iter().zip(vals) {
-                    out[*c] += coeff * v;
-                }
-            }
-        }
+/// `out += coeff · row_i` of a CSR matrix (length `cols`).
+pub(crate) fn add_scaled_row(a: &SparseMatrix, i: usize, coeff: f64, out: &mut [f64]) {
+    let (cols, vals) = a.row(i);
+    for (c, v) in cols.iter().zip(vals) {
+        out[*c] += coeff * v;
     }
 }
 
@@ -116,6 +81,10 @@ impl ConstraintRef<'_> {
 /// `H` must be symmetric positive semidefinite; the solver adds a tiny
 /// Levenberg regularization so semidefinite Hessians (common in MPC, where
 /// some inputs do not enter the cost) are handled without special cases.
+///
+/// The owned form for callers holding dense data: each constraint matrix
+/// is converted to CSR once, on entry, and validated by the same checks as
+/// [`QpView`].
 ///
 /// # Examples
 ///
@@ -135,11 +104,10 @@ impl ConstraintRef<'_> {
 pub struct QpProblem {
     h: Matrix,
     g: Vec<f64>,
-    a_eq: Option<Matrix>,
+    a_eq: Option<SparseMatrix>,
     b_eq: Vec<f64>,
-    a_in: Option<Matrix>,
+    a_in: Option<SparseMatrix>,
     b_in: Vec<f64>,
-    structure: Option<QpStructure>,
 }
 
 impl QpProblem {
@@ -150,19 +118,9 @@ impl QpProblem {
     ///
     /// # Errors
     ///
-    /// Returns [`OptimError::DimensionMismatch`] if `h` is not square with
-    /// side `g.len()`, [`OptimError::AsymmetricHessian`] if `h` is not
-    /// symmetric, and [`OptimError::NonFiniteData`] on NaN/∞ entries.
+    /// As [`QpView::new`].
     pub fn new(h: Matrix, g: Vec<f64>) -> Result<Self, OptimError> {
-        if !h.is_square() || h.rows() != g.len() {
-            return Err(OptimError::DimensionMismatch { what: "H vs g" });
-        }
-        if !h.is_symmetric(Self::SYM_TOL * h.norm_max().max(1.0)) {
-            return Err(OptimError::AsymmetricHessian);
-        }
-        if h.as_slice().iter().any(|v| !v.is_finite()) || g.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
+        QpView::new(&h, &g)?;
         Ok(Self {
             h,
             g,
@@ -170,36 +128,17 @@ impl QpProblem {
             b_eq: Vec::new(),
             a_in: None,
             b_in: Vec::new(),
-            structure: None,
         })
-    }
-
-    /// Declares the block-banded horizon structure of this problem.
-    ///
-    /// Advisory metadata: the solver uses its banded backend when the
-    /// structure matches the supplied Jacobians and falls back to the
-    /// dense path otherwise.
-    #[must_use]
-    pub fn with_structure(mut self, structure: QpStructure) -> Self {
-        self.structure = Some(structure);
-        self
     }
 
     /// Adds the equality constraints `a_eq · z = b_eq`.
     ///
     /// # Errors
     ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
+    /// As [`QpView::with_equalities`].
     pub fn with_equalities(mut self, a_eq: Matrix, b_eq: Vec<f64>) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if a_eq.as_slice().iter().any(|v| !v.is_finite()) || b_eq.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
+        let a_eq = SparseMatrix::from_dense(&a_eq, 0.0);
+        self.as_view().with_equalities(&a_eq, &b_eq)?;
         self.a_eq = Some(a_eq);
         self.b_eq = b_eq;
         Ok(self)
@@ -209,17 +148,10 @@ impl QpProblem {
     ///
     /// # Errors
     ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
+    /// As [`QpView::with_inequalities`].
     pub fn with_inequalities(mut self, a_in: Matrix, b_in: Vec<f64>) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if a_in.as_slice().iter().any(|v| !v.is_finite()) || b_in.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
+        let a_in = SparseMatrix::from_dense(&a_in, 0.0);
+        self.as_view().with_inequalities(&a_in, &b_in)?;
         self.a_in = Some(a_in);
         self.b_in = b_in;
         Ok(self)
@@ -253,8 +185,7 @@ impl QpProblem {
     /// Panics if `z.len() != num_vars()`.
     #[must_use]
     pub fn objective(&self, z: &[f64]) -> f64 {
-        let hz = self.h.matvec(z).expect("dimension checked at construction");
-        0.5 * vecops::dot(z, &hz) + vecops::dot(&self.g, z)
+        self.as_view().objective(z)
     }
 
     /// Borrows the problem as a [`QpView`] (no data is copied).
@@ -267,15 +198,14 @@ impl QpProblem {
             b_eq: &self.b_eq,
             a_in: self.a_in.as_ref(),
             b_in: &self.b_in,
-            a_eq_sparse: None,
-            a_in_sparse: None,
-            structure: self.structure,
+            structure: None,
         }
     }
 }
 
 /// A borrowed view of a convex QP — the same problem shape as
-/// [`QpProblem`], but holding references instead of owned data.
+/// [`QpProblem`], but holding references instead of owned data, with the
+/// constraint Jacobians in CSR form.
 ///
 /// This is the allocation-free entry point for hot loops that re-solve a
 /// QP with data they already own: the SQP solver builds one of these per
@@ -286,13 +216,16 @@ impl QpProblem {
 ///
 /// ```
 /// use ev_optim::{QpSolver, QpView};
-/// use ev_linalg::Matrix;
+/// use ev_linalg::{Matrix, SparseMatrix};
 ///
 /// # fn main() -> Result<(), ev_optim::OptimError> {
 /// // min (z-3)² s.t. z ≤ 1, without giving up ownership of the data.
 /// let h = Matrix::from_diag(&[2.0]);
 /// let g = [-6.0];
-/// let a = Matrix::from_rows(&[&[1.0]]).unwrap();
+/// let mut a = SparseMatrix::new();
+/// a.reset(1);
+/// a.push(0, 1.0);
+/// a.finish_row();
 /// let b = [1.0];
 /// let view = QpView::new(&h, &g)?.with_inequalities(&a, &b)?;
 /// let sol = QpSolver::default().solve(&view, None, None)?;
@@ -304,18 +237,16 @@ impl QpProblem {
 pub struct QpView<'a> {
     h: &'a Matrix,
     g: &'a [f64],
-    a_eq: Option<&'a Matrix>,
+    a_eq: Option<&'a SparseMatrix>,
     b_eq: &'a [f64],
-    a_in: Option<&'a Matrix>,
+    a_in: Option<&'a SparseMatrix>,
     b_in: &'a [f64],
-    a_eq_sparse: Option<&'a SparseMatrix>,
-    a_in_sparse: Option<&'a SparseMatrix>,
     structure: Option<QpStructure>,
 }
 
 impl<'a> QpView<'a> {
     /// Creates an unconstrained view from the Hessian `h` and linear
-    /// term `g`, validating like [`QpProblem::new`].
+    /// term `g`.
     ///
     /// # Errors
     ///
@@ -339,8 +270,6 @@ impl<'a> QpView<'a> {
             b_eq: &[],
             a_in: None,
             b_in: &[],
-            a_eq_sparse: None,
-            a_in_sparse: None,
             structure: None,
         })
     }
@@ -353,18 +282,10 @@ impl<'a> QpView<'a> {
     /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
     pub fn with_equalities(
         mut self,
-        a_eq: &'a Matrix,
+        a_eq: &'a SparseMatrix,
         b_eq: &'a [f64],
     ) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if a_eq.as_slice().iter().any(|v| !v.is_finite()) || b_eq.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_eq = Some(a_eq);
+        self.a_eq = Some(self.checked(a_eq, b_eq, "A_eq vs b_eq")?);
         self.b_eq = b_eq;
         Ok(self)
     }
@@ -377,73 +298,30 @@ impl<'a> QpView<'a> {
     /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
     pub fn with_inequalities(
         mut self,
-        a_in: &'a Matrix,
-        b_in: &'a [f64],
-    ) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if a_in.as_slice().iter().any(|v| !v.is_finite()) || b_in.iter().any(|v| !v.is_finite()) {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_in = Some(a_in);
-        self.b_in = b_in;
-        Ok(self)
-    }
-
-    /// Adds the equality constraints `a_eq · z = b_eq` from a CSR
-    /// Jacobian; required (together with [`QpView::with_structure`]) for
-    /// the banded KKT backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_sparse_equalities(
-        mut self,
-        a_eq: &'a SparseMatrix,
-        b_eq: &'a [f64],
-    ) -> Result<Self, OptimError> {
-        if a_eq.cols() != self.num_vars() || a_eq.rows() != b_eq.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_eq vs b_eq",
-            });
-        }
-        if b_eq.iter().any(|v| !v.is_finite()) || !a_eq.norm_max().is_finite() {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_eq = None;
-        self.a_eq_sparse = Some(a_eq);
-        self.b_eq = b_eq;
-        Ok(self)
-    }
-
-    /// Adds the inequality constraints `a_in · z ≤ b_in` from a CSR
-    /// Jacobian, avoiding any densification of the constraint matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::DimensionMismatch`] if shapes are inconsistent
-    /// and [`OptimError::NonFiniteData`] on NaN/∞ entries.
-    pub fn with_sparse_inequalities(
-        mut self,
         a_in: &'a SparseMatrix,
         b_in: &'a [f64],
     ) -> Result<Self, OptimError> {
-        if a_in.cols() != self.num_vars() || a_in.rows() != b_in.len() {
-            return Err(OptimError::DimensionMismatch {
-                what: "A_in vs b_in",
-            });
-        }
-        if b_in.iter().any(|v| !v.is_finite()) || !a_in.norm_max().is_finite() {
-            return Err(OptimError::NonFiniteData);
-        }
-        self.a_in = None;
-        self.a_in_sparse = Some(a_in);
+        self.a_in = Some(self.checked(a_in, b_in, "A_in vs b_in")?);
         self.b_in = b_in;
         Ok(self)
+    }
+
+    /// The one validation of a constraint block `a · z (=|≤) b`: shapes
+    /// match, and every stored entry of `a` and every entry of `b` is
+    /// finite.
+    fn checked(
+        &self,
+        a: &'a SparseMatrix,
+        b: &[f64],
+        what: &'static str,
+    ) -> Result<&'a SparseMatrix, OptimError> {
+        if a.cols() != self.num_vars() || a.rows() != b.len() {
+            return Err(OptimError::DimensionMismatch { what });
+        }
+        if !a.is_finite() || b.iter().any(|v| !v.is_finite()) {
+            return Err(OptimError::NonFiniteData);
+        }
+        Ok(a)
     }
 
     /// Declares the block-banded horizon structure of this problem (see
@@ -503,9 +381,19 @@ impl<'a> QpView<'a> {
         self.g
     }
 
+    /// The equality Jacobian, if any (crate-internal).
+    pub(crate) fn a_eq(&self) -> Option<&'a SparseMatrix> {
+        self.a_eq
+    }
+
     /// The equality right-hand side (crate-internal).
     pub(crate) fn b_eq(&self) -> &[f64] {
         self.b_eq
+    }
+
+    /// The inequality Jacobian, if any (crate-internal).
+    pub(crate) fn a_in(&self) -> Option<&'a SparseMatrix> {
+        self.a_in
     }
 
     /// The inequality right-hand side (crate-internal).
@@ -527,24 +415,6 @@ impl<'a> QpView<'a> {
     #[must_use]
     pub fn planned_bandwidth(&self) -> Option<usize> {
         banded_plan(self).map(|(_, w)| w)
-    }
-
-    /// The inequality Jacobian in whichever form was supplied.
-    pub(crate) fn a_in_ref(&self) -> Option<ConstraintRef<'a>> {
-        match (self.a_in_sparse, self.a_in) {
-            (Some(s), _) => Some(ConstraintRef::Sparse(s)),
-            (None, Some(d)) => Some(ConstraintRef::Dense(d)),
-            (None, None) => None,
-        }
-    }
-
-    /// The equality Jacobian in whichever form was supplied.
-    pub(crate) fn a_eq_ref(&self) -> Option<ConstraintRef<'a>> {
-        match (self.a_eq_sparse, self.a_eq) {
-            (Some(s), _) => Some(ConstraintRef::Sparse(s)),
-            (None, Some(d)) => Some(ConstraintRef::Dense(d)),
-            (None, None) => None,
-        }
     }
 }
 
@@ -605,14 +475,6 @@ pub struct QpSolverOptions {
     pub max_iterations: usize,
     /// Levenberg regularization added to the Hessian diagonal.
     pub regularization: f64,
-    /// Prefer a dense Cholesky factorization over LU when the reduced KKT
-    /// matrix is SPD (no equality constraints). Off by default: Cholesky
-    /// and LU produce different floating-point roundoff, and the default
-    /// dense path doubles as the bit-reproducible oracle behind recorded
-    /// controller traces. Enable for standalone QPs where a ~2× cheaper
-    /// dense factorization matters more than replaying historical
-    /// iterates.
-    pub prefer_dense_cholesky: bool,
 }
 
 impl Default for QpSolverOptions {
@@ -621,7 +483,6 @@ impl Default for QpSolverOptions {
             tolerance: 1e-8,
             max_iterations: 100,
             regularization: 1e-10,
-            prefer_dense_cholesky: false,
         }
     }
 }
@@ -710,14 +571,14 @@ impl QpSolver {
             return self.solve_equality_only(problem, me);
         }
 
-        let a_in = problem.a_in_ref().expect("mi > 0 implies A_in");
-        let a_eq = problem.a_eq_ref();
+        let a_in = problem.a_in.expect("mi > 0 implies A_in");
+        let a_eq = problem.a_eq;
         let mut z = z0.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
         let mut y = vec![0.0; me];
 
         // Per-solve workspaces: everything the interior-point loop touches
         // is allocated once here and reused across iterations.
-        let mut ws = KktWorkspace::new(problem, self.options.prefer_dense_cholesky);
+        let mut ws = KktWorkspace::new(problem);
         let mut hz = vec![0.0; n];
         let mut rd = vec![0.0; n];
         let mut rp = vec![0.0; me];
@@ -740,7 +601,7 @@ impl QpSolver {
         // (slacks re-derived from the *current* constraint values so an
         // infeasible start still yields s > 0), cold (s ≥ 1, λ = 1)
         // otherwise.
-        a_in.matvec_into(&z, &mut cz);
+        csr_matvec(a_in, &z, &mut cz);
         let warm_lam = warm
             .as_deref_mut()
             .filter(|w| w.lam.len() == mi)
@@ -849,7 +710,7 @@ impl QpSolver {
             if let Some(a_eq) = a_eq {
                 jt.fill(0.0);
                 for r in 0..me {
-                    a_eq.add_scaled_row(r, y[r], &mut jt);
+                    add_scaled_row(a_eq, r, y[r], &mut jt);
                 }
                 for r in 0..n {
                     rd[r] += jt[r];
@@ -857,18 +718,18 @@ impl QpSolver {
             }
             jt.fill(0.0);
             for i in 0..mi {
-                a_in.add_scaled_row(i, lam[i], &mut jt);
+                add_scaled_row(a_in, i, lam[i], &mut jt);
             }
             for r in 0..n {
                 rd[r] += jt[r];
             }
             if let Some(a_eq) = a_eq {
-                a_eq.matvec_into(&z, &mut rp);
+                csr_matvec(a_eq, &z, &mut rp);
                 for r in 0..me {
                     rp[r] -= problem.b_eq[r];
                 }
             }
-            a_in.matvec_into(&z, &mut cz);
+            csr_matvec(a_in, &z, &mut cz);
             for i in 0..mi {
                 rc[i] = cz[i] + s[i] - problem.b_in[i];
             }
@@ -904,7 +765,7 @@ impl QpSolver {
             for i in 0..mi {
                 wvec[i] = lam[i] / s[i];
             }
-            ws.factor(problem, a_in, &wvec, reg)?;
+            ws.factor(problem, &wvec, reg)?;
 
             // Affine (predictor) direction: target σ = 0.
             for i in 0..mi {
@@ -982,12 +843,12 @@ impl QpSolver {
             rd[r] = hz[r] + problem.g[r];
         }
         if let Some(a_eq) = a_eq {
-            a_eq.matvec_into(&z, &mut rp);
+            csr_matvec(a_eq, &z, &mut rp);
             for r in 0..me {
                 rp[r] -= problem.b_eq[r];
             }
         }
-        a_in.matvec_into(&z, &mut cz);
+        csr_matvec(a_in, &z, &mut cz);
         for i in 0..mi {
             rc[i] = cz[i] + s[i] - problem.b_in[i];
         }
@@ -1024,24 +885,8 @@ impl QpSolver {
             }
             kkt.add_at(r, r, delta);
         }
-        if let Some(a_eq) = problem.a_eq_ref() {
-            for r in 0..me {
-                match a_eq {
-                    ConstraintRef::Dense(m) => {
-                        for c in 0..n {
-                            kkt.set(n + r, c, m.get(r, c));
-                            kkt.set(c, n + r, m.get(r, c));
-                        }
-                    }
-                    ConstraintRef::Sparse(s) => {
-                        let (cols, vals) = s.row(r);
-                        for (c, v) in cols.iter().zip(vals) {
-                            kkt.set(n + r, *c, *v);
-                            kkt.set(*c, n + r, *v);
-                        }
-                    }
-                }
-            }
+        if let Some(a_eq) = problem.a_eq {
+            set_eq_block(&mut kkt, n, a_eq);
         }
         // Quasi-definite −δ block: keeps the factorization nonsingular
         // when equality rows are linearly dependent (duplicated or
@@ -1061,10 +906,9 @@ impl QpSolver {
         // equalities contradict each other; only the residual tells an
         // inconsistent system from a consistent rank-deficient one.
         if me > 0 {
+            let a_eq = problem.a_eq.expect("me > 0 implies A_eq");
             let mut az = vec![0.0; me];
-            if let Some(a_eq) = problem.a_eq_ref() {
-                a_eq.matvec_into(&z, &mut az);
-            }
+            csr_matvec(a_eq, &z, &mut az);
             let mut primal_residual = 0.0f64;
             for r in 0..me {
                 primal_residual = primal_residual.max((az[r] - problem.b_eq[r]).abs());
@@ -1073,7 +917,7 @@ impl QpSolver {
                 + problem.h.norm_max()
                 + vecops::norm_inf(problem.g)
                 + vecops::norm_inf(problem.b_eq)
-                + problem.a_eq_ref().map_or(0.0, |a| a.norm_max());
+                + a_eq.norm_max();
             let stuck_tol = self.options.tolerance.max(f64::EPSILON).sqrt();
             if !primal_residual.is_finite() || primal_residual > stuck_tol * scale {
                 return Err(OptimError::QpInfeasible { primal_residual });
@@ -1117,7 +961,7 @@ fn block_diag_matvec(m: &Matrix, vb: usize, x: &[f64], out: &mut [f64]) {
 #[allow(clippy::too_many_arguments)]
 fn newton_step(
     ws: &mut KktWorkspace,
-    a_in: ConstraintRef<'_>,
+    a_in: &SparseMatrix,
     rd: &[f64],
     rp: &[f64],
     rc: &[f64],
@@ -1141,7 +985,7 @@ fn newton_step(
     }
     for i in 0..mi {
         let coeff = (r_slam[i] - lam[i] * rc[i]) / s[i];
-        a_in.add_scaled_row(i, coeff, &mut rhs[..n]);
+        add_scaled_row(a_in, i, coeff, &mut rhs[..n]);
     }
     for r in 0..me {
         rhs[n + r] = -rp[r];
@@ -1150,7 +994,7 @@ fn newton_step(
     dz.copy_from_slice(&rhs[..n]);
     dy.copy_from_slice(&rhs[n..]);
 
-    a_in.matvec_into(dz, cdz);
+    csr_matvec(a_in, dz, cdz);
     for i in 0..mi {
         ds[i] = -rc[i] - cdz[i];
         dlam[i] = -(r_slam[i] + lam[i] * ds[i]) / s[i];
@@ -1158,13 +1002,23 @@ fn newton_step(
     Ok(())
 }
 
+/// Writes `A_eq` and `A_eqᵀ` into the off-diagonal blocks of a dense
+/// `(n + me)`-square KKT matrix.
+fn set_eq_block(kkt: &mut Matrix, n: usize, a_eq: &SparseMatrix) {
+    for r in 0..a_eq.rows() {
+        let (cols, vals) = a_eq.row(r);
+        for (c, v) in cols.iter().zip(vals) {
+            kkt.set(n + r, *c, *v);
+            kkt.set(*c, n + r, *v);
+        }
+    }
+}
+
 /// Per-solve scratch for assembling and factoring the reduced KKT matrix
 /// `[H + CᵀWC, A_eqᵀ; A_eq, −δI]` with whichever backend fits the problem:
-/// banded LDLᵀ when a valid [`QpStructure`] plan exists, dense Cholesky
-/// when the reduced system is SPD (no equalities), dense LU otherwise.
-/// Backends degrade monotonically within one solve: a banded or Cholesky
-/// factorization failure permanently drops to the next denser backend, so
-/// the dense LU oracle is always the last resort.
+/// banded LDLᵀ when a valid [`QpStructure`] plan exists, dense LU
+/// otherwise. A banded factorization failure permanently drops to dense LU
+/// for the rest of the solve, so the LU oracle is always the last resort.
 struct KktWorkspace {
     n: usize,
     me: usize,
@@ -1177,14 +1031,12 @@ struct KktWorkspace {
     band_factor: BandedCholesky,
     perm_rhs: Vec<f64>,
     dense: Option<Matrix>,
-    cholesky: Option<Cholesky>,
-    use_cholesky: bool,
     lu: Option<Lu>,
     backend: QpKktBackend,
 }
 
 impl KktWorkspace {
-    fn new(problem: &QpView<'_>, prefer_dense_cholesky: bool) -> Self {
+    fn new(problem: &QpView<'_>) -> Self {
         let n = problem.num_vars();
         let me = problem.num_eq();
         let (pos, bandwidth, banded) = match banded_plan(problem) {
@@ -1201,28 +1053,18 @@ impl KktWorkspace {
             band_factor: BandedCholesky::new(),
             perm_rhs: vec![0.0; n + me],
             dense: None,
-            cholesky: None,
-            // With no equality block the reduced KKT matrix is SPD, but
-            // Cholesky is only used when the caller opted in (it changes
-            // roundoff relative to the historical LU iterates).
-            use_cholesky: prefer_dense_cholesky && me == 0,
             lu: None,
             backend: QpKktBackend::DenseLu,
         }
     }
 
     /// Assembles and factors the KKT matrix for the current weights
-    /// `wvec = λ/s`, degrading to a denser backend on factorization
+    /// `wvec = λ/s`, degrading to dense LU on a banded factorization
     /// failure.
-    fn factor(
-        &mut self,
-        problem: &QpView<'_>,
-        a_in: ConstraintRef<'_>,
-        wvec: &[f64],
-        reg: f64,
-    ) -> Result<(), OptimError> {
+    fn factor(&mut self, problem: &QpView<'_>, wvec: &[f64], reg: f64) -> Result<(), OptimError> {
+        let a_in = problem.a_in.expect("the KKT workspace serves mi > 0");
         if self.banded {
-            match self.factor_banded(problem, wvec, reg) {
+            match self.factor_banded(problem, a_in, wvec, reg) {
                 Ok(()) => {
                     self.backend = QpKktBackend::Banded;
                     return Ok(());
@@ -1239,6 +1081,7 @@ impl KktWorkspace {
     fn factor_banded(
         &mut self,
         problem: &QpView<'_>,
+        a_in: &SparseMatrix,
         wvec: &[f64],
         reg: f64,
     ) -> Result<(), OptimError> {
@@ -1269,10 +1112,7 @@ impl KktWorkspace {
             "Hessian has couplings outside the declared block structure"
         );
 
-        // CᵀWC from the CSR inequality Jacobian (guaranteed by the plan).
-        let a_in = problem
-            .a_in_sparse
-            .expect("banded plan requires a CSR inequality Jacobian");
+        // CᵀWC from the CSR inequality Jacobian.
         for i in 0..a_in.rows() {
             let wi = wvec[i];
             if wi == 0.0 {
@@ -1289,7 +1129,7 @@ impl KktWorkspace {
         }
 
         // Equality rows and the −δ regularized equality diagonal.
-        if let Some(a_eq) = problem.a_eq_sparse {
+        if let Some(a_eq) = problem.a_eq {
             for r in 0..me {
                 let (cols, vals) = a_eq.row(r);
                 let pr = self.pos[n + r];
@@ -1306,7 +1146,7 @@ impl KktWorkspace {
     fn factor_dense(
         &mut self,
         problem: &QpView<'_>,
-        a_in: ConstraintRef<'_>,
+        a_in: &SparseMatrix,
         wvec: &[f64],
         reg: f64,
     ) -> Result<(), OptimError> {
@@ -1324,82 +1164,26 @@ impl KktWorkspace {
                 kkt.set(r, c, problem.h.get(r, c));
             }
         }
-        match a_in {
-            ConstraintRef::Dense(m) => {
-                for i in 0..m.rows() {
-                    let wi = wvec[i];
-                    let row = m.row(i);
-                    for r in 0..n {
-                        let ar = row[r];
-                        if ar == 0.0 {
-                            continue;
-                        }
-                        for c in 0..n {
-                            kkt.add_at(r, c, wi * ar * row[c]);
-                        }
-                    }
-                }
-            }
-            ConstraintRef::Sparse(s) => {
-                for i in 0..s.rows() {
-                    let wi = wvec[i];
-                    let (cols, vals) = s.row(i);
-                    for a in 0..cols.len() {
-                        let va = wi * vals[a];
-                        for b in 0..cols.len() {
-                            kkt.add_at(cols[a], cols[b], va * vals[b]);
-                        }
-                    }
+        for i in 0..a_in.rows() {
+            let wi = wvec[i];
+            let (cols, vals) = a_in.row(i);
+            for a in 0..cols.len() {
+                let va = wi * vals[a];
+                for b in 0..cols.len() {
+                    kkt.add_at(cols[a], cols[b], va * vals[b]);
                 }
             }
         }
         for r in 0..n {
             kkt.add_at(r, r, reg);
         }
-        if me > 0 {
-            match problem.a_eq_ref().expect("me > 0 implies A_eq") {
-                ConstraintRef::Dense(m) => {
-                    for r in 0..me {
-                        for c in 0..n {
-                            kkt.set(n + r, c, m.get(r, c));
-                            kkt.set(c, n + r, m.get(r, c));
-                        }
-                        kkt.set(n + r, n + r, -1e-12);
-                    }
-                }
-                ConstraintRef::Sparse(s) => {
-                    for r in 0..me {
-                        let (cols, vals) = s.row(r);
-                        for (c, v) in cols.iter().zip(vals) {
-                            kkt.set(n + r, *c, *v);
-                            kkt.set(*c, n + r, *v);
-                        }
-                        kkt.set(n + r, n + r, -1e-12);
-                    }
-                }
+        if let Some(a_eq) = problem.a_eq {
+            set_eq_block(kkt, n, a_eq);
+            for r in 0..me {
+                kkt.set(n + r, n + r, -1e-12);
             }
         }
 
-        if self.use_cholesky {
-            let ok = match self.cholesky.as_mut() {
-                Some(c) if c.dim() == dim => c.refactor(kkt).is_ok(),
-                _ => match Cholesky::factor(kkt) {
-                    Ok(c) => {
-                        self.cholesky = Some(c);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            };
-            if ok {
-                self.backend = QpKktBackend::DenseCholesky;
-                return Ok(());
-            }
-            // Numerically indefinite despite SPD theory (extreme W): use
-            // the LU oracle for the rest of this solve.
-            self.cholesky = None;
-            self.use_cholesky = false;
-        }
         self.lu = None;
         self.lu = Some(Lu::factor(kkt)?);
         self.backend = QpKktBackend::DenseLu;
@@ -1418,12 +1202,6 @@ impl KktWorkspace {
                 for (i, &p) in self.pos.iter().enumerate() {
                     rhs[i] = self.perm_rhs[p];
                 }
-            }
-            QpKktBackend::DenseCholesky => {
-                self.cholesky
-                    .as_ref()
-                    .expect("backend implies factor")
-                    .solve_in_place(rhs)?;
             }
             QpKktBackend::DenseLu => {
                 let x = self
@@ -1453,11 +1231,7 @@ fn banded_plan(problem: &QpView<'_>) -> Option<(Vec<usize>, usize)> {
     if me != blocks * eb {
         return None;
     }
-    // The banded assembly reads constraint rows in CSR form only.
-    let a_in = problem.a_in_sparse?;
-    if me > 0 && problem.a_eq_sparse.is_none() {
-        return None;
-    }
+    let a_in = problem.a_in?;
     // Stage-interleaved position of variable `j` / equality multiplier `r`;
     // strictly increasing in the column index, so a row's in-band width is
     // the position distance between its first and last column.
@@ -1480,7 +1254,7 @@ fn banded_plan(problem: &QpView<'_>) -> Option<(Vec<usize>, usize)> {
             w_req = w_req.max(var_pos(last) - var_pos(first));
         }
     }
-    if let Some(a_eq) = problem.a_eq_sparse {
+    if let Some(a_eq) = problem.a_eq {
         for r in 0..a_eq.rows() {
             let kr = r / eb;
             let (cols, _) = a_eq.row(r);
@@ -1869,28 +1643,68 @@ mod tests {
     }
 
     #[test]
-    fn sparse_inequalities_match_dense() {
-        let (h, g, a_in, b_in, _, _) = structured_problem(4, 3, false);
+    fn dense_problem_solves_as_its_csr_view() {
+        // `QpProblem` converts dense data to the same CSR a caller would
+        // build, so both entry points walk bit-identical iterates.
+        let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(4, 3, true);
         let dense = QpProblem::new(h.clone(), g.clone())
+            .unwrap()
+            .with_equalities(a_eq.to_dense(), b_eq.clone())
             .unwrap()
             .with_inequalities(a_in.to_dense(), b_in.clone())
             .unwrap();
         let dense_sol = solve(&dense);
-
         let view = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_equalities(&a_eq, &b_eq)
+            .unwrap()
+            .with_inequalities(&a_in, &b_in)
             .unwrap();
-        let sparse_sol = QpSolver::new(QpSolverOptions {
-            prefer_dense_cholesky: true,
-            ..QpSolverOptions::default()
-        })
-        .solve(&view, None, None)
-        .unwrap();
-        assert_eq!(sparse_sol.kkt_backend, QpKktBackend::DenseCholesky);
-        for (zs, zd) in sparse_sol.z.iter().zip(&dense_sol.z) {
-            assert!((zs - zd).abs() < 1e-8, "sparse {zs} vs dense {zd}");
+        let view_sol = QpSolver::default().solve(&view, None, None).unwrap();
+        assert_eq!(view_sol.kkt_backend, QpKktBackend::DenseLu);
+        assert_eq!(view_sol.z, dense_sol.z);
+        assert_eq!(view_sol.lambda_in, dense_sol.lambda_in);
+    }
+
+    #[test]
+    fn non_finite_jacobian_entries_are_rejected() {
+        let (h, g, a_in, b_in, a_eq, b_eq) = structured_problem(2, 2, true);
+        // A NaN stored among finite entries: a max-norm scan would skip it.
+        let mut nan_in = SparseMatrix::new();
+        nan_in.reset(a_in.cols());
+        for r in 0..a_in.rows() {
+            let (cols, vals) = a_in.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                nan_in.push(*c, if r == 1 { f64::NAN } else { *v });
+            }
+            nan_in.finish_row();
         }
+        let mut inf_eq = SparseMatrix::new();
+        inf_eq.reset(a_eq.cols());
+        for r in 0..a_eq.rows() {
+            let (cols, _) = a_eq.row(r);
+            for c in cols {
+                inf_eq.push(*c, f64::INFINITY);
+            }
+            inf_eq.finish_row();
+        }
+        let view = QpView::new(&h, &g).unwrap();
+        assert!(matches!(
+            view.with_inequalities(&nan_in, &b_in),
+            Err(OptimError::NonFiniteData)
+        ));
+        assert!(matches!(
+            view.with_equalities(&inf_eq, &b_eq),
+            Err(OptimError::NonFiniteData)
+        ));
+        // Dense NaN data survives the conversion to CSR and is caught too.
+        let mut dense = a_in.to_dense();
+        dense.set(0, 1, f64::NAN);
+        let p = QpProblem::new(h, g).unwrap();
+        assert!(matches!(
+            p.with_inequalities(dense, b_in),
+            Err(OptimError::NonFiniteData)
+        ));
     }
 
     #[test]
@@ -1905,14 +1719,14 @@ mod tests {
 
             let mut view = QpView::new(&h, &g)
                 .unwrap()
-                .with_sparse_inequalities(&a_in, &b_in)
+                .with_inequalities(&a_in, &b_in)
                 .unwrap();
             let mut oracle = QpProblem::new(h.clone(), g.clone())
                 .unwrap()
                 .with_inequalities(a_in.to_dense(), b_in.clone())
                 .unwrap();
             if with_eq {
-                view = view.with_sparse_equalities(&a_eq, &b_eq).unwrap();
+                view = view.with_equalities(&a_eq, &b_eq).unwrap();
                 oracle = oracle
                     .with_equalities(a_eq.to_dense(), b_eq.clone())
                     .unwrap();
@@ -1922,8 +1736,6 @@ mod tests {
                 .unwrap();
             let oracle_sol = solve(&oracle);
             assert_eq!(banded_sol.kkt_backend, QpKktBackend::Banded);
-            // The dense oracle stays on the LU path unless Cholesky is
-            // explicitly requested.
             assert_eq!(oracle_sol.kkt_backend, QpKktBackend::DenseLu);
             for (zb, zo) in banded_sol.z.iter().zip(&oracle_sol.z) {
                 assert!(
@@ -1944,7 +1756,7 @@ mod tests {
         let (h, g, a_in, b_in, _, _) = structured_problem(4, 3, false);
         let view = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_inequalities(&a_in, &b_in)
             .unwrap()
             .with_structure(QpStructure {
                 vars_per_block: 5,
@@ -1972,7 +1784,7 @@ mod tests {
         let b_in = vec![10.0];
         let view = QpView::new(&h, &g)
             .unwrap()
-            .with_sparse_inequalities(&a_in, &b_in)
+            .with_inequalities(&a_in, &b_in)
             .unwrap()
             .with_structure(QpStructure {
                 vars_per_block: 2,

@@ -3,32 +3,7 @@
 use ev_linalg::{vecops, Matrix, SparseMatrix};
 
 use crate::observer::{QpSubproblemStatus, SqpIterationRecord, SqpObserver};
-use crate::{
-    NlpProblem, OptimError, QpProblem, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart,
-};
-
-/// A constraint Jacobian for one SQP iteration, in whichever form the
-/// problem produced it. Sparse Jacobians flow straight into the QP's CSR
-/// path ([`QpView::with_sparse_inequalities`]) without densification.
-#[derive(Clone, Copy)]
-enum JacRef<'a> {
-    Dense(&'a Matrix),
-    Sparse(&'a SparseMatrix),
-}
-
-impl JacRef<'_> {
-    /// `out = Jᵀ·x` (overwrites `out`).
-    fn matvec_transposed_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), OptimError> {
-        match self {
-            Self::Dense(m) => {
-                let v = m.matvec_transposed(x)?;
-                out.copy_from_slice(&v);
-            }
-            Self::Sparse(s) => s.matvec_transposed(x, out)?,
-        }
-        Ok(())
-    }
-}
+use crate::{NlpProblem, OptimError, QpSolver, QpSolverOptions, QpStructure, QpView, QpWarmStart};
 
 /// Options for the SQP solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,30 +204,17 @@ impl SqpSolver {
         let mut neg_c_eq = vec![0.0; me];
         let mut neg_c_in = vec![0.0; mi];
         let mut jt_buf = vec![0.0; n];
-        // CSR workspaces refilled in place each iteration when the problem
-        // produces sparse Jacobians (`*_new` hold the trial-point Jacobians
-        // for the Lagrangian BFGS update).
-        let mut j_eq_s = SparseMatrix::new();
-        let mut j_in_s = SparseMatrix::new();
-        let mut j_eq_s_new = SparseMatrix::new();
-        let mut j_in_s_new = SparseMatrix::new();
+        // CSR Jacobian workspaces refilled in place each iteration
+        // (`j_new` holds a trial-point Jacobian for the Lagrangian BFGS
+        // update).
+        let mut j_eq = SparseMatrix::new();
+        let mut j_in = SparseMatrix::new();
+        let mut j_new = SparseMatrix::new();
         let structure = problem.qp_structure();
 
         for iter in 0..opts.max_iterations {
-            let j_eq_dense;
-            let j_eq = if me > 0 && problem.eq_jacobian_sparse_into(&z, &mut j_eq_s) {
-                JacRef::Sparse(&j_eq_s)
-            } else {
-                j_eq_dense = problem.eq_jacobian(&z);
-                JacRef::Dense(&j_eq_dense)
-            };
-            let j_in_dense;
-            let j_in = if mi > 0 && problem.ineq_jacobian_sparse_into(&z, &mut j_in_s) {
-                JacRef::Sparse(&j_in_s)
-            } else {
-                j_in_dense = problem.ineq_jacobian(&z);
-                JacRef::Dense(&j_in_dense)
-            };
+            problem.eq_jacobian_into(&z, &mut j_eq);
+            problem.ineq_jacobian_into(&z, &mut j_in);
 
             // QP subproblem in the step d (right-hand sides are the
             // negated constraint values).
@@ -271,10 +233,10 @@ impl SqpSolver {
                 &qp_solver,
                 &b,
                 &grad,
-                j_eq,
+                &j_eq,
                 &c_eq,
                 &neg_c_eq,
-                j_in,
+                &j_in,
                 &c_in,
                 &neg_c_in,
                 penalty,
@@ -318,7 +280,7 @@ impl SqpSolver {
                         objective: f,
                         merit: f + penalty * viol,
                         constraint_violation: viol,
-                        kkt_residual: kkt_residual(&grad, j_eq, &mult_eq, j_in, &mult_in),
+                        kkt_residual: kkt_residual(&grad, &j_eq, &mult_eq, &j_in, &mult_in),
                         step_norm: vecops::norm_inf(&d),
                         step_length: 0.0,
                         accepted: true,
@@ -377,7 +339,7 @@ impl SqpSolver {
                         // the constraint curvature revealed at z + d
                         // (trial_d still equals d on this first trial).
                         soc_tried = true;
-                        if let Some(correction) = second_order_correction(j_eq, &c_eq_trial) {
+                        if let Some(correction) = second_order_correction(&j_eq, &c_eq_trial) {
                             vecops::axpy(1.0, &correction, &mut trial_d);
                             continue; // retry at alpha = 1 with the SOC step
                         }
@@ -401,7 +363,7 @@ impl SqpSolver {
                     objective: f,
                     merit: merit0,
                     constraint_violation: viol,
-                    kkt_residual: kkt_residual(&grad, j_eq, &mult_eq, j_in, &mult_in),
+                    kkt_residual: kkt_residual(&grad, &j_eq, &mult_eq, &j_in, &mult_in),
                     step_norm: vecops::norm_inf(&d),
                     step_length: if accepted { alpha } else { 0.0 },
                     accepted,
@@ -434,29 +396,17 @@ impl SqpSolver {
             gl_old.copy_from_slice(&grad);
             gl_new.copy_from_slice(&grad_new);
             if me > 0 {
-                j_eq.matvec_transposed_into(&mult_eq, &mut jt_buf)?;
+                j_eq.matvec_transposed(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                let j_eq_new_dense;
-                let j_eq_new = if problem.eq_jacobian_sparse_into(&z_trial, &mut j_eq_s_new) {
-                    JacRef::Sparse(&j_eq_s_new)
-                } else {
-                    j_eq_new_dense = problem.eq_jacobian(&z_trial);
-                    JacRef::Dense(&j_eq_new_dense)
-                };
-                j_eq_new.matvec_transposed_into(&mult_eq, &mut jt_buf)?;
+                problem.eq_jacobian_into(&z_trial, &mut j_new);
+                j_new.matvec_transposed(&mult_eq, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             if mi > 0 {
-                j_in.matvec_transposed_into(&mult_in, &mut jt_buf)?;
+                j_in.matvec_transposed(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_old);
-                let j_in_new_dense;
-                let j_in_new = if problem.ineq_jacobian_sparse_into(&z_trial, &mut j_in_s_new) {
-                    JacRef::Sparse(&j_in_s_new)
-                } else {
-                    j_in_new_dense = problem.ineq_jacobian(&z_trial);
-                    JacRef::Dense(&j_in_new_dense)
-                };
-                j_in_new.matvec_transposed_into(&mult_in, &mut jt_buf)?;
+                problem.ineq_jacobian_into(&z_trial, &mut j_new);
+                j_new.matvec_transposed(&mult_in, &mut jt_buf)?;
                 vecops::axpy(1.0, &jt_buf, &mut gl_new);
             }
             for i in 0..n {
@@ -512,17 +462,17 @@ impl SqpSolver {
     /// retried with heavily boosted Hessian regularization — a degenerate
     /// active-set guess usually just needs a better-conditioned system —
     /// before falling back to elastic mode, which builds its own
-    /// enlarged (dense) problem.
+    /// enlarged problem.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn solve_subproblem(
         &self,
         qp_solver: &QpSolver,
         b: &Matrix,
         grad: &[f64],
-        j_eq: JacRef<'_>,
+        j_eq: &SparseMatrix,
         c_eq: &[f64],
         neg_c_eq: &[f64],
-        j_in: JacRef<'_>,
+        j_in: &SparseMatrix,
         c_in: &[f64],
         neg_c_in: &[f64],
         penalty: f64,
@@ -535,16 +485,10 @@ impl SqpSolver {
 
         let mut qp = QpView::new(b, grad)?;
         if me > 0 {
-            qp = match j_eq {
-                JacRef::Dense(m) => qp.with_equalities(m, neg_c_eq)?,
-                JacRef::Sparse(s) => qp.with_sparse_equalities(s, neg_c_eq)?,
-            };
+            qp = qp.with_equalities(j_eq, neg_c_eq)?;
         }
         if mi > 0 {
-            qp = match j_in {
-                JacRef::Dense(m) => qp.with_inequalities(m, neg_c_in)?,
-                JacRef::Sparse(s) => qp.with_sparse_inequalities(s, neg_c_in)?,
-            };
+            qp = qp.with_inequalities(j_in, neg_c_in)?;
         }
         if let Some(st) = structure {
             qp = qp.with_structure(st);
@@ -589,24 +533,6 @@ impl SqpSolver {
             | OptimError::QpInfeasible { .. }
             | OptimError::QpUnbounded { .. }
             | OptimError::Linalg(_) => {
-                // Densify sparse Jacobians for the (rare, allocating)
-                // elastic rebuild below.
-                let j_eq_store;
-                let j_eq = match j_eq {
-                    JacRef::Dense(m) => m,
-                    JacRef::Sparse(s) => {
-                        j_eq_store = s.to_dense();
-                        &j_eq_store
-                    }
-                };
-                let j_in_store;
-                let j_in = match j_in {
-                    JacRef::Dense(m) => m,
-                    JacRef::Sparse(s) => {
-                        j_in_store = s.to_dense();
-                        &j_in_store
-                    }
-                };
                 // Elastic mode: d plus slack t ≥ 0 on every constraint,
                 // penalized linearly. Always feasible (t large enough).
                 let nt = n + me + mi;
@@ -626,39 +552,36 @@ impl SqpSolver {
                 }
                 // Equalities become two-sided inequalities with slack:
                 //   J_eq d − t ≤ −c_eq,  −J_eq d − t ≤ c_eq,  −t ≤ 0
-                let mut rows: Vec<Vec<f64>> = Vec::new();
-                let mut rhs: Vec<f64> = Vec::new();
+                let mut a_in = SparseMatrix::new();
+                a_in.reset(nt);
+                let mut rhs = Vec::with_capacity(3 * me + 2 * mi);
                 for r in 0..me {
-                    let mut row = vec![0.0; nt];
-                    row[..n].copy_from_slice(j_eq.row(r));
-                    row[n + r] = -1.0;
-                    rows.push(row);
-                    rhs.push(-c_eq[r]);
-                    let mut row2 = vec![0.0; nt];
-                    for c in 0..n {
-                        row2[c] = -j_eq.get(r, c);
+                    let (cols, vals) = j_eq.row(r);
+                    for sign in [1.0, -1.0] {
+                        for (c, v) in cols.iter().zip(vals) {
+                            a_in.push(*c, sign * v);
+                        }
+                        a_in.push(n + r, -1.0);
+                        a_in.finish_row();
+                        rhs.push(-sign * c_eq[r]);
                     }
-                    row2[n + r] = -1.0;
-                    rows.push(row2);
-                    rhs.push(c_eq[r]);
                 }
                 for r in 0..mi {
-                    let mut row = vec![0.0; nt];
-                    row[..n].copy_from_slice(j_in.row(r));
-                    row[n + me + r] = -1.0;
-                    rows.push(row);
+                    let (cols, vals) = j_in.row(r);
+                    for (c, v) in cols.iter().zip(vals) {
+                        a_in.push(*c, *v);
+                    }
+                    a_in.push(n + me + r, -1.0);
+                    a_in.finish_row();
                     rhs.push(-c_in[r]);
                 }
                 for t in 0..(me + mi) {
-                    let mut row = vec![0.0; nt];
-                    row[n + t] = -1.0;
-                    rows.push(row);
+                    a_in.push(n + t, -1.0);
+                    a_in.finish_row();
                     rhs.push(0.0);
                 }
-                let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-                let a_in = Matrix::from_rows(&refs).expect("elastic rows rectangular");
-                let eqp = QpProblem::new(h, g)?.with_inequalities(a_in, rhs)?;
-                let sol = qp_solver.solve(&eqp.as_view(), None, None)?;
+                let eqp = QpView::new(&h, &g)?.with_inequalities(&a_in, &rhs)?;
+                let sol = qp_solver.solve(&eqp, None, None)?;
                 // Map the multipliers of the elasticized rows back to the
                 // original constraints: the first 2·me rows correspond to
                 // the ±equality pair, the next mi to the inequalities.
@@ -683,15 +606,8 @@ impl SqpSolver {
 /// Second-order correction step: the minimum-norm solution of
 /// `J_eq · d̂ = −c_eq(z + d)`, i.e. `d̂ = −J_eqᵀ (J_eq J_eqᵀ)⁻¹ c_eq(z+d)`.
 /// Returns `None` when `J_eq J_eqᵀ` is singular.
-fn second_order_correction(j_eq: JacRef<'_>, c_at_trial: &[f64]) -> Option<Vec<f64>> {
-    let store;
-    let j_eq = match j_eq {
-        JacRef::Dense(m) => m,
-        JacRef::Sparse(s) => {
-            store = s.to_dense();
-            &store
-        }
-    };
+fn second_order_correction(j_eq: &SparseMatrix, c_at_trial: &[f64]) -> Option<Vec<f64>> {
+    let j_eq = j_eq.to_dense();
     let jjt = j_eq.matmul(&j_eq.transpose()).ok()?;
     let w = ev_linalg::Lu::factor(&jjt).ok()?.solve(c_at_trial).ok()?;
     let mut d_hat = j_eq.matvec_transposed(&w).ok()?;
@@ -706,21 +622,21 @@ fn second_order_correction(j_eq: JacRef<'_>, c_at_trial: &[f64]) -> Option<Vec<f
 /// returns NaN when a Jacobian product fails dimensionally.
 fn kkt_residual(
     grad: &[f64],
-    j_eq: JacRef<'_>,
+    j_eq: &SparseMatrix,
     mult_eq: &[f64],
-    j_in: JacRef<'_>,
+    j_in: &SparseMatrix,
     mult_in: &[f64],
 ) -> f64 {
     let mut r = grad.to_vec();
     let mut buf = vec![0.0; grad.len()];
     if !mult_eq.is_empty() {
-        match j_eq.matvec_transposed_into(mult_eq, &mut buf) {
+        match j_eq.matvec_transposed(mult_eq, &mut buf) {
             Ok(()) => vecops::axpy(1.0, &buf, &mut r),
             Err(_) => return f64::NAN,
         }
     }
     if !mult_in.is_empty() {
-        match j_in.matvec_transposed_into(mult_in, &mut buf) {
+        match j_in.matvec_transposed(mult_in, &mut buf) {
             Ok(()) => vecops::axpy(1.0, &buf, &mut r),
             Err(_) => return f64::NAN,
         }
@@ -1079,6 +995,112 @@ mod tests {
         // Both box constraints are active at the optimum.
         assert_eq!(*count_only.sizes.last().unwrap(), 2);
         assert_eq!(count_only.index_lists_seen, 0);
+    }
+
+    /// Every linearization is inconsistent: `z0 ≤ 0` and `z0 ≥ 1` can
+    /// never hold together, so each QP subproblem must go elastic. The
+    /// equality row (`z0 + z1² + z2 = 1`) and a slack third inequality
+    /// make the elastic rebuild carry both constraint kinds.
+    struct Contradictory;
+    impl NlpProblem for Contradictory {
+        fn num_vars(&self) -> usize {
+            3
+        }
+        fn objective(&self, z: &[f64]) -> f64 {
+            (z[0] - 1.0).powi(2) + (z[1] + 0.5).powi(2) + z[2] * z[2]
+        }
+        fn num_eq(&self) -> usize {
+            1
+        }
+        fn eq_constraints(&self, z: &[f64], out: &mut [f64]) {
+            out[0] = z[0] + z[1] * z[1] + z[2] - 1.0;
+        }
+        fn num_ineq(&self) -> usize {
+            3
+        }
+        fn ineq_constraints(&self, z: &[f64], out: &mut [f64]) {
+            out[0] = z[0];
+            out[1] = 1.0 - z[0];
+            out[2] = z[1] + z[2] - 2.0;
+        }
+    }
+
+    #[test]
+    fn inconsistent_linearization_goes_elastic_with_pinned_step() {
+        use crate::SqpTraceObserver;
+        let mut trace = SqpTraceObserver::default();
+        SqpSolver::default()
+            .solve(&Contradictory, &[0.5, 0.2, 0.1], None, &mut trace)
+            .unwrap();
+        assert_eq!(
+            trace.records.first().map(|r| r.qp_status),
+            Some(QpSubproblemStatus::Elastic)
+        );
+
+        // One subproblem at z = (0.5, 0.2, 0.1) with the exact Jacobians.
+        let z = [0.5, 0.2, 0.1];
+        let mut j_eq = SparseMatrix::new();
+        j_eq.reset(3);
+        j_eq.push(0, 1.0);
+        j_eq.push(1, 2.0 * z[1]);
+        j_eq.push(2, 1.0);
+        j_eq.finish_row();
+        let mut j_in = SparseMatrix::new();
+        j_in.reset(3);
+        j_in.push(0, 1.0);
+        j_in.finish_row();
+        j_in.push(0, -1.0);
+        j_in.finish_row();
+        j_in.push(1, 1.0);
+        j_in.push(2, 1.0);
+        j_in.finish_row();
+        let mut grad = [0.0; 3];
+        Contradictory.gradient(&z, &mut grad);
+        let mut c_eq = [0.0; 1];
+        Contradictory.eq_constraints(&z, &mut c_eq);
+        let mut c_in = [0.0; 3];
+        Contradictory.ineq_constraints(&z, &mut c_in);
+        let neg = |c: &[f64]| c.iter().map(|v| -v).collect::<Vec<_>>();
+        let solver = SqpSolver::default();
+        let (d, y_eq, lambda_in, status, _) = solver
+            .solve_subproblem(
+                &QpSolver::new(solver.options.qp),
+                &Matrix::identity(3),
+                &grad,
+                &j_eq,
+                &c_eq,
+                &neg(&c_eq),
+                &j_in,
+                &c_in,
+                &neg(&c_in),
+                10.0,
+                None,
+                None,
+            )
+            .unwrap();
+        assert_eq!(status, QpSubproblemStatus::Elastic);
+        let close = |got: &[f64], want: &[f64]| {
+            got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(want)
+                    .all(|(g, w)| (g - w).abs() <= 1e-12 * w.abs().max(1.0))
+        };
+        // Recorded from the dense-matrix elastic rebuild that the CSR one
+        // replaced; the CSR rebuild sums the same nonzero products.
+        let want_d = [
+            0.49999933821654485,
+            -1.1862066712997068,
+            0.33448333032896205,
+        ];
+        let want_y_eq = [-0.5344833361214967];
+        let want_lambda_in = [99.99999999110531, 98.9655159932136, 5.787789789865715e-9];
+        assert!(close(&d, &want_d), "d = {d:?}");
+        assert!(close(&y_eq, &want_y_eq), "y_eq = {y_eq:?}");
+        assert!(
+            close(&lambda_in, &want_lambda_in),
+            "lambda_in = {lambda_in:?}"
+        );
     }
 
     #[test]

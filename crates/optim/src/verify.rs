@@ -9,9 +9,9 @@
 //!
 //! [ROADMAP item 5]: https://github.com/evclimate/evclimate
 
-use ev_linalg::vecops;
+use ev_linalg::{vecops, SparseMatrix};
 
-use crate::qp::QpView;
+use crate::qp::{add_scaled_row, csr_matvec, QpView};
 use crate::OptimError;
 
 /// The five KKT residuals of a candidate QP solution, plus the data scale
@@ -91,19 +91,19 @@ pub fn kkt_report(
     for (r, gi) in rd.iter_mut().zip(problem.g()) {
         *r += gi;
     }
-    if let Some(a_eq) = problem.a_eq_ref() {
+    if let Some(a_eq) = problem.a_eq() {
         for (r, &yi) in y_eq.iter().enumerate() {
-            a_eq.add_scaled_row(r, yi, &mut rd);
+            add_scaled_row(a_eq, r, yi, &mut rd);
         }
     }
     let mut primal_ineq = 0.0f64;
     let mut complementarity = 0.0f64;
     let mut dual_nonneg = 0.0f64;
-    if let Some(a_in) = problem.a_in_ref() {
+    if let Some(a_in) = problem.a_in() {
         let mut cz = vec![0.0; mi];
-        a_in.matvec_into(z, &mut cz);
+        csr_matvec(a_in, z, &mut cz);
         for (i, &li) in lambda_in.iter().enumerate() {
-            a_in.add_scaled_row(i, li, &mut rd);
+            add_scaled_row(a_in, i, li, &mut rd);
             let slack = problem.b_in()[i] - cz[i];
             primal_ineq = primal_ineq.max(-slack);
             complementarity = complementarity.max((li * slack).abs());
@@ -111,9 +111,9 @@ pub fn kkt_report(
         }
     }
     let mut primal_eq = 0.0f64;
-    if let Some(a_eq) = problem.a_eq_ref() {
+    if let Some(a_eq) = problem.a_eq() {
         let mut az = vec![0.0; me];
-        a_eq.matvec_into(z, &mut az);
+        csr_matvec(a_eq, z, &mut az);
         for (ai, bi) in az.iter().zip(problem.b_eq()) {
             primal_eq = primal_eq.max((ai - bi).abs());
         }
@@ -122,8 +122,8 @@ pub fn kkt_report(
     let scale = 1.0
         + problem.h().norm_max()
         + vecops::norm_inf(problem.g())
-        + problem.a_eq_ref().map_or(0.0, |a| a.norm_max())
-        + problem.a_in_ref().map_or(0.0, |a| a.norm_max())
+        + problem.a_eq().map_or(0.0, SparseMatrix::norm_max)
+        + problem.a_in().map_or(0.0, SparseMatrix::norm_max)
         + vecops::norm_inf(problem.b_eq())
         + vecops::norm_inf(problem.b_in());
 

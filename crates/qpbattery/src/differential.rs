@@ -1,20 +1,20 @@
 //! Differential-oracle harness: one generated instance, every
 //! factorization backend, cross-checked answers.
 //!
-//! The interior-point solver can factor its reduced KKT system three
-//! ways (dense LU, dense Cholesky, banded LDLᵀ). They must agree — the
-//! LU path doubles as the correctness oracle for the structured paths.
-//! For each [`GeneratedQp`] this module solves:
+//! The interior-point solver can factor its reduced KKT system two ways
+//! (dense LU, banded LDLᵀ). They must agree — the LU path doubles as the
+//! correctness oracle for the structured path. For each [`GeneratedQp`]
+//! this module solves:
 //!
-//! 1. the dense problem with default options (**dense LU** oracle),
-//! 2. the dense problem with `prefer_dense_cholesky` (**dense
-//!    Cholesky** where eligible, i.e. no equality rows),
-//! 3. the sparse-Jacobian view with its declared [`QpStructure`]
-//!    (**banded LDLᵀ** for structured instances),
+//! 1. the owned problem without structure (**dense LU** oracle),
+//! 2. the view with its declared [`QpStructure`](ev_optim::QpStructure)
+//!    (**banded LDLᵀ** for structured instances).
 //!
-//! then checks that every backend's solution satisfies the KKT
-//! conditions independently, that primal solutions agree pairwise to
-//! the family's tolerance, that objectives agree, and — for banded
+//! Both legs carry the same CSR constraint Jacobians, so they differ only
+//! in the KKT factorization. The harness then checks that every
+//! backend's solution satisfies the KKT conditions independently, that
+//! primal solutions agree pairwise to the family's tolerance, that
+//! objectives agree, and — for banded
 //! instances — that the banded backend actually engaged and the
 //! *measured* bandwidth does not exceed the *declared* one. Unsolvable
 //! families (infeasible/unbounded/zero-variable) must come back as
@@ -88,11 +88,10 @@ impl DifferentialReport {
     }
 }
 
-fn solver(prefer_dense_cholesky: bool) -> QpSolver {
+fn solver() -> QpSolver {
     QpSolver::new(QpSolverOptions {
         tolerance: SOLVE_TOL,
         max_iterations: 200,
-        prefer_dense_cholesky,
         ..QpSolverOptions::default()
     })
 }
@@ -103,17 +102,12 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
     let mut failures: Vec<String> = Vec::new();
     let mut runs: Vec<BackendRun> = Vec::new();
 
-    // Backend 1 & 2: dense matrices, LU oracle and (where eligible)
-    // dense Cholesky.
+    // Backend 1: no structure, so the dense LU oracle.
     match qp.to_problem() {
         Ok(problem) => {
             runs.push(BackendRun {
                 label: "dense-lu",
-                outcome: solver(false).solve(&problem.as_view(), None, None),
-            });
-            runs.push(BackendRun {
-                label: "dense-cholesky",
-                outcome: solver(true).solve(&problem.as_view(), None, None),
+                outcome: solver().solve(&problem.as_view(), None, None),
             });
         }
         Err(e) => {
@@ -128,13 +122,13 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         }
     }
 
-    // Backend 3: sparse-Jacobian view with the declared structure; this
-    // is the only path that can take the banded LDLᵀ factorization.
+    // Backend 2: the view with the declared structure; this is the only
+    // path that can take the banded LDLᵀ factorization.
     match qp.view() {
         Ok(view) => {
             runs.push(BackendRun {
                 label: "banded-view",
-                outcome: solver(false).solve(&view, None, None),
+                outcome: solver().solve(&view, None, None),
             });
             if qp.family == QpFamily::Banded {
                 let declared = qp
@@ -155,7 +149,7 @@ pub fn differential_solve(qp: &GeneratedQp) -> DifferentialReport {
         }
         Err(e) => {
             if qp.family.is_solvable() {
-                failures.push(format!("building the sparse view failed: {e}"));
+                failures.push(format!("building the view failed: {e}"));
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   reference objective values committed next to the fixtures.
 //! * [`differential`] — a differential-oracle harness that solves
 //!   seeded generated instances ([`ev_testkit::qpgen`]) through every
-//!   factorization backend (dense LU, dense Cholesky, banded LDLᵀ) and
+//!   factorization backend (dense LU, banded LDLᵀ) and
 //!   cross-checks primal solutions, KKT residuals, and declared vs
 //!   measured bandwidth, dumping an MPS reproducer on disagreement.
 //!

@@ -118,8 +118,8 @@ impl GeneratedQp {
         self.g.len()
     }
 
-    /// Borrows the instance as a sparse-Jacobian [`QpView`] (the banded
-    /// backend's entry point).
+    /// Borrows the instance as a [`QpView`] with its declared structure
+    /// (the banded backend's entry point).
     ///
     /// # Errors
     ///
@@ -128,10 +128,10 @@ impl GeneratedQp {
     pub fn view(&self) -> Result<QpView<'_>, OptimError> {
         let mut view = QpView::new(&self.h, &self.g)?;
         if !self.b_eq.is_empty() {
-            view = view.with_sparse_equalities(&self.a_eq, &self.b_eq)?;
+            view = view.with_equalities(&self.a_eq, &self.b_eq)?;
         }
         if !self.b_in.is_empty() {
-            view = view.with_sparse_inequalities(&self.a_in, &self.b_in)?;
+            view = view.with_inequalities(&self.a_in, &self.b_in)?;
         }
         if let Some(st) = self.structure {
             view = view.with_structure(st);
@@ -139,8 +139,8 @@ impl GeneratedQp {
         Ok(view)
     }
 
-    /// Clones the instance into an owned dense-Jacobian [`QpProblem`]
-    /// (the dense oracle's entry point).
+    /// Clones the instance into an owned [`QpProblem`] without its
+    /// structure (the dense-LU oracle's entry point).
     ///
     /// # Errors
     ///
@@ -538,17 +538,6 @@ impl QpAsNlp {
     pub fn qp(&self) -> &GeneratedQp {
         &self.qp
     }
-
-    fn copy_csr(src: &SparseMatrix, out: &mut SparseMatrix) {
-        out.reset(src.cols());
-        for r in 0..src.rows() {
-            let (cols, vals) = src.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                out.push(*c, *v);
-            }
-            out.finish_row();
-        }
-    }
 }
 
 impl NlpProblem for QpAsNlp {
@@ -600,14 +589,12 @@ impl NlpProblem for QpAsNlp {
         }
     }
 
-    fn eq_jacobian_sparse_into(&self, _z: &[f64], out: &mut SparseMatrix) -> bool {
-        Self::copy_csr(&self.qp.a_eq, out);
-        true
+    fn eq_jacobian_into(&self, _z: &[f64], out: &mut SparseMatrix) {
+        out.clone_from(&self.qp.a_eq);
     }
 
-    fn ineq_jacobian_sparse_into(&self, _z: &[f64], out: &mut SparseMatrix) -> bool {
-        Self::copy_csr(&self.qp.a_in, out);
-        true
+    fn ineq_jacobian_into(&self, _z: &[f64], out: &mut SparseMatrix) {
+        out.clone_from(&self.qp.a_in);
     }
 
     fn qp_structure(&self) -> Option<QpStructure> {

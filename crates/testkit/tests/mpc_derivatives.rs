@@ -10,6 +10,7 @@
 
 use ev_control::{ControlContext, MpcController, PreviewSample};
 use ev_hvac::{CabinParams, Hvac, HvacLimits, HvacState};
+use ev_linalg::SparseMatrix;
 use ev_optim::NlpProblem;
 use ev_units::{Celsius, Percent, Seconds, Watts};
 use proptest::prelude::*;
@@ -114,7 +115,9 @@ proptest! {
             );
         }
 
-        let jac = nlp.ineq_jacobian(&z);
+        let mut csr = SparseMatrix::new();
+        nlp.ineq_jacobian_into(&z, &mut csr);
+        let jac = csr.to_dense();
         let fd_jac = ev_optim::finite_diff::jacobian(
             &|p: &[f64], out: &mut [f64]| nlp.ineq_constraints(p, out),
             &z,

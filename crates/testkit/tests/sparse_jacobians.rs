@@ -1,18 +1,15 @@
-//! Property tests pinning the MPC's sparse constraint Jacobians to their
-//! dense references.
+//! Property test pinning the multiple-shooting MPC's CSR constraint
+//! Jacobians to central differences and to their declared structure.
 //!
-//! The SQP's structure-exploiting path consumes Jacobians in CSR form
-//! (`NlpProblem::ineq_jacobian_sparse_into` /
-//! `eq_jacobian_sparse_into`) and routes the resulting QP through the
-//! block-banded KKT backend. Three things must hold or the banded solve
+//! The SQP consumes Jacobians in CSR form (`NlpProblem::ineq_jacobian_into`
+//! / `eq_jacobian_into`) and routes a structured QP through the
+//! block-banded KKT backend. Two things must hold or the banded solve
 //! quietly optimizes a different problem:
 //!
-//! 1. The condensed transcription's sparse inequality Jacobian must equal
-//!    its dense analytic Jacobian — same derivation, two emission paths.
-//! 2. The multiple-shooting transcription's sparse Jacobians (its only
-//!    analytic form) must match central differences of the constraint
-//!    functions.
-//! 3. Every sparse row must respect the one-step-lookback locality the
+//! 1. The sparse Jacobians must match central differences of the
+//!    constraint functions (the condensed transcription's counterpart
+//!    lives in `mpc_derivatives.rs`).
+//! 2. Every sparse row must respect the one-step-lookback locality the
 //!    NLP declares via `qp_structure()` — that declaration is what lets
 //!    the QP solver pick the banded factorization, so an out-of-block
 //!    entry would be silently dropped from the KKT matrix.
@@ -20,7 +17,6 @@
 use ev_control::{ControlContext, MpcController, PreviewSample};
 use ev_hvac::{CabinParams, Hvac, HvacLimits, HvacState};
 use ev_linalg::SparseMatrix;
-use ev_optim::NlpProblem;
 use ev_units::{Celsius, Percent, Seconds, Watts};
 use proptest::prelude::*;
 
@@ -33,7 +29,7 @@ const C4_ROW: usize = 5;
 /// are rejected rather than asserted on.
 const MIN_COIL_C: f64 = 4.0;
 
-fn controller(multiple_shooting: bool) -> MpcController {
+fn controller() -> MpcController {
     MpcController::builder(
         Hvac::new(CabinParams::default(), ev_hvac::HvacParams::default()),
         HvacLimits::default(),
@@ -41,7 +37,7 @@ fn controller(multiple_shooting: bool) -> MpcController {
     .horizon(HORIZON)
     .prediction_dt(Seconds::new(4.0))
     .recompute_every(1)
-    .multiple_shooting(multiple_shooting)
+    .multiple_shooting(true)
     .build()
     .expect("valid mpc config")
 }
@@ -74,56 +70,8 @@ fn close_fd(analytic: f64, fd: f64) -> bool {
     (analytic - fd).abs() <= 1e-5 * fd.abs().max(1.0)
 }
 
-/// Analytic-vs-analytic comparison: two emissions of the same derivation
-/// may differ only by roundoff ordering.
-fn close_exact(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-12 * b.abs().max(1.0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Condensed transcription: the CSR inequality Jacobian and the dense
-    /// analytic one are the same derivation emitted two ways, so they
-    /// must agree to roundoff at arbitrary (even infeasible) iterates —
-    /// both sides branch identically at the same `z`, so no kink
-    /// rejection is needed.
-    #[test]
-    fn condensed_sparse_ineq_jacobian_matches_dense(
-        tz in 12.0f64..40.0,
-        to in -15.0f64..45.0,
-        soc in 25.0f64..95.0,
-        motor_kw in 0.0f64..60.0,
-        steps in proptest::collection::vec(
-            (1.0f64..4.5, 0.8f64..4.2, 0.0f64..0.7, 0.3f64..2.4),
-            HORIZON,
-        ),
-    ) {
-        let c = controller(false);
-        let samples = preview(motor_kw, to);
-        let context = ctx_at(tz, to, soc, &samples);
-        let nlp = c.nlp(&context);
-
-        let mut z = Vec::with_capacity(HORIZON * 4);
-        for &(ts, tc, dr, mz) in &steps {
-            z.extend_from_slice(&[ts, tc, dr, mz]);
-        }
-
-        let dense = nlp.ineq_jacobian(&z);
-        let mut sparse = SparseMatrix::new();
-        prop_assert!(nlp.ineq_jacobian_sparse_into(&z, &mut sparse));
-        prop_assert_eq!(sparse.rows(), nlp.num_ineq());
-        for r in 0..sparse.rows() {
-            let from_sparse = sparse.to_dense();
-            for col in 0..nlp.num_vars() {
-                prop_assert!(
-                    close_exact(from_sparse.get(r, col), dense.get(r, col)),
-                    "row {} col {}: sparse {} vs dense {}",
-                    r, col, from_sparse.get(r, col), dense.get(r, col)
-                );
-            }
-        }
-    }
 
     /// Multiple-shooting transcription: its sparse Jacobians are its only
     /// analytic form, so they are checked against central differences,
@@ -140,7 +88,7 @@ proptest! {
             HORIZON,
         ),
     ) {
-        let c = controller(true);
+        let c = controller();
         let samples = preview(motor_kw, to);
         let context = ctx_at(tz, to, soc, &samples);
         let outcome = c.with_active_nlp(&context, |nlp| {
@@ -170,9 +118,9 @@ proptest! {
             }
 
             let mut sparse_in = SparseMatrix::new();
-            assert!(nlp.ineq_jacobian_sparse_into(&z, &mut sparse_in));
+            nlp.ineq_jacobian_into(&z, &mut sparse_in);
             let mut sparse_eq = SparseMatrix::new();
-            assert!(nlp.eq_jacobian_sparse_into(&z, &mut sparse_eq));
+            nlp.eq_jacobian_into(&z, &mut sparse_eq);
 
             // Locality: row r of step k may only touch blocks k−lookback..=k.
             for (sparse, rows_per_step, what) in [
