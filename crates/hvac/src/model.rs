@@ -1,6 +1,5 @@
 //! HVAC dynamics and power model.
 
-use ev_ode::trapezoidal;
 use ev_units::{Celsius, KgPerSecond, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -207,9 +206,38 @@ impl Hvac {
     }
 }
 
+/// One implicit trapezoidal step for the scalar affine dynamics
+/// `c · x' = a − b · x̄`, where `x̄ = (x⁺ + x)/2` is the step midpoint.
+///
+/// This is exactly the discretization the paper applies to the cabin
+/// energy balance (Eq. 18–19): given the previous state `x`, thermal
+/// capacitance `c > 0`, constant forcing `a` and midpoint feedback
+/// coefficient `b ≥ 0` over a step of length `h`, it returns `x⁺` from
+///
+/// ```text
+/// c · (x⁺ − x) / h = a − b · (x⁺ + x) / 2
+/// ```
+///
+/// The trapezoidal rule is A-stable, so stiff cabin time constants cannot
+/// blow up regardless of step size.
+///
+/// # Panics
+///
+/// Panics if `c <= 0`, `h <= 0`, or the implicit equation degenerates
+/// (`c/h + b/2 == 0`, impossible for valid input).
+#[must_use]
+fn trapezoidal(x: f64, c: f64, a: f64, b: f64, h: f64) -> f64 {
+    assert!(c > 0.0, "trapezoidal: capacitance must be positive");
+    assert!(h > 0.0, "trapezoidal: step must be positive");
+    let lhs = c / h + 0.5 * b;
+    assert!(lhs != 0.0, "trapezoidal: degenerate implicit equation");
+    ((c / h - 0.5 * b) * x + a) / lhs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hvac() -> Hvac {
         Hvac::new(CabinParams::default(), HvacParams::default())
@@ -374,7 +402,7 @@ mod tests {
         let solar = Watts::new(400.0);
         let (a, b) = h.discrete_coefficients(&input, to, solar);
         let state = HvacState::new(Celsius::new(27.0));
-        let expected = ev_ode::trapezoidal(27.0, 8.0e4, a, b, 1.0);
+        let expected = trapezoidal(27.0, 8.0e4, a, b, 1.0);
         let (next, _) = h.step(state, &input, to, solar, Seconds::new(1.0));
         assert!((next.tz.value() - expected).abs() < 1e-12);
     }
@@ -390,5 +418,60 @@ mod tests {
             Watts::ZERO,
             Seconds::ZERO,
         );
+    }
+
+    #[test]
+    fn trapezoidal_converges_to_the_forced_equilibrium() {
+        // x' = 1 - x, starting at 0: converges to 1.
+        let mut x = 0.0;
+        for _ in 0..100 {
+            x = trapezoidal(x, 1.0, 1.0, 1.0, 0.1);
+        }
+        assert!((x - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn trapezoidal_matches_exact_affine_solution() {
+        // c x' = a - b x with c=2, a=4, b=1: x* = 4, time constant 2.
+        let (c, a, b) = (2.0, 4.0, 1.0);
+        let h = 0.01;
+        let mut x = 0.0;
+        let mut t = 0.0;
+        while t < 1.0 - 1e-12 {
+            x = trapezoidal(x, c, a, b, h);
+            t += h;
+        }
+        let exact = 4.0 * (1.0 - (-1.0f64 / 2.0).exp());
+        assert!((x - exact).abs() < 1e-4, "x {x} exact {exact}");
+    }
+
+    #[test]
+    #[should_panic(expected = "capacitance")]
+    fn trapezoidal_rejects_bad_capacitance() {
+        let _ = trapezoidal(0.0, 0.0, 1.0, 1.0, 0.1);
+    }
+
+    proptest! {
+        #[test]
+        fn trapezoidal_is_unconditionally_stable(
+            b in 0.1f64..100.0,
+            h in 0.1f64..100.0,
+            x0 in -100.0f64..100.0,
+        ) {
+            // c·x' = −b·x̄: |x⁺| ≤ |x| for any step size (A-stability).
+            let next = trapezoidal(x0, 1.0, 0.0, b, h);
+            prop_assert!(next.abs() <= x0.abs() + 1e-12, "{x0} → {next}");
+        }
+
+        #[test]
+        fn trapezoidal_fixed_point_is_a_over_b(
+            a in -50.0f64..50.0,
+            b in 0.1f64..10.0,
+            h in 0.01f64..10.0,
+        ) {
+            let xstar = a / b;
+            let next = trapezoidal(xstar, 2.0, a, b, h);
+            prop_assert!((next - xstar).abs() < 1e-9 * xstar.abs().max(1.0));
+        }
     }
 }

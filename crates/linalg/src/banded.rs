@@ -166,9 +166,8 @@ impl BandedMatrix {
 
 /// LDLᵀ factorization of a symmetric [`BandedMatrix`].
 ///
-/// Despite the name (kept parallel to the dense
-/// [`Cholesky`](crate::Cholesky)), this is a root-free LDLᵀ: pivots may be negative,
-/// so the quasidefinite KKT matrices of an interior-point method factor
+/// Despite the name, this is a root-free LDLᵀ: pivots may be negative, so
+/// the quasidefinite KKT matrices of an interior-point method factor
 /// without pivoting. Only a pivot that is numerically zero is rejected.
 ///
 /// The struct is a reusable workspace: [`BandedCholesky::factor`] resizes

@@ -12,8 +12,6 @@ pub enum LinalgError {
     },
     /// The matrix is singular (or numerically singular) to working precision.
     Singular,
-    /// The matrix is not symmetric positive definite (Cholesky only).
-    NotPositiveDefinite,
     /// A matrix that must be square is not.
     NotSquare {
         /// Rows of the offending matrix.
@@ -36,9 +34,6 @@ impl core::fmt::Display for LinalgError {
                 expected.0, expected.1, actual.0, actual.1
             ),
             Self::Singular => write!(f, "matrix is singular to working precision"),
-            Self::NotPositiveDefinite => {
-                write!(f, "matrix is not symmetric positive definite")
-            }
             Self::NotSquare { rows, cols } => {
                 write!(f, "matrix must be square, got {rows}x{cols}")
             }
@@ -62,9 +57,6 @@ mod tests {
         };
         assert_eq!(e.to_string(), "dimension mismatch: expected 3x3, got 2x3");
         assert!(LinalgError::Singular.to_string().contains("singular"));
-        assert!(LinalgError::NotPositiveDefinite
-            .to_string()
-            .contains("positive definite"));
         assert_eq!(
             LinalgError::NotSquare { rows: 2, cols: 5 }.to_string(),
             "matrix must be square, got 2x5"

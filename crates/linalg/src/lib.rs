@@ -2,9 +2,7 @@
 //!
 //! This crate provides the small, dependency-free linear-algebra kernel the
 //! evclimate optimizer ([`ev-optim`]) is built on: a row-major dense
-//! [`Matrix`], LU factorization with partial pivoting ([`Lu`]), Cholesky
-//! factorization for symmetric positive-definite systems ([`Cholesky`]) and
-//! Householder QR for least squares ([`Qr`]).
+//! [`Matrix`] and LU factorization with partial pivoting ([`Lu`]).
 //!
 //! The model-predictive-control problems solved in this workspace involve a
 //! few hundred variables at most, so straightforward `O(n³)` dense
@@ -13,9 +11,7 @@
 //! For horizon-structured MPC systems the crate additionally provides a CSR
 //! [`SparseMatrix`] for constraint Jacobians, a symmetric [`BandedMatrix`]
 //! with an `O(n·w²)` LDLᵀ factorization ([`BandedCholesky`]) for the
-//! block-banded KKT matrices those Jacobians induce, and a pluggable
-//! [`Factorization`] trait making the LU / Cholesky / banded backends
-//! interchangeable.
+//! block-banded KKT matrices those Jacobians induce.
 //!
 //! [`ev-optim`]: https://docs.rs/ev-optim
 //!
@@ -41,20 +37,14 @@
 #![allow(clippy::needless_range_loop)]
 
 mod banded;
-mod cholesky;
 mod error;
-mod factor;
 mod lu;
 mod matrix;
-mod qr;
 mod sparse;
 pub mod vecops;
 
 pub use banded::{BandedCholesky, BandedMatrix};
-pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use factor::{BandedFactor, CholeskyFactor, Factorization, LuFactor};
 pub use lu::{solve, Lu};
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use sparse::SparseMatrix;

@@ -5,9 +5,9 @@ use crate::{LinalgError, Matrix};
 /// LU factorization of a square matrix with partial (row) pivoting.
 ///
 /// Factors `P·A = L·U` and solves `A·x = b` by forward/back substitution.
-/// This is the factorization used for the KKT systems inside the active-set
-/// QP solver, which are symmetric but indefinite — hence LU rather than
-/// Cholesky.
+/// This is the QP solver's generic backend for its KKT systems, which are
+/// symmetric but indefinite — hence pivoted LU — and the dense oracle the
+/// banded LDLᵀ ([`crate::BandedCholesky`]) is checked against.
 ///
 /// # Examples
 ///

@@ -270,8 +270,8 @@ mod tests {
         let body = scrape_once(&server.addr().to_string()).expect("scrape succeeds");
         assert!(body.contains("scrape_test_total 3\n"), "{body}");
         assert!(body.contains("scrape_test_seconds_count 1\n"), "{body}");
-        let samples = crate::export::validate_prometheus(&body).expect("valid exposition");
-        assert!(samples > 0);
+        let samples = crate::export::parse_prometheus(&body).expect("valid exposition");
+        assert!(!samples.is_empty());
     }
 
     #[test]

@@ -921,46 +921,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Summed value of the samples named `sample` in a Prometheus
-/// exposition — a line's name is its first token (before whitespace or
-/// a `{` label block), matched exactly. Fleet metrics are per-shard
-/// labeled series, so the fleet-wide view of a counter or histogram
-/// count is the sum across label sets; `None` when no series matches.
-fn sample_value(text: &str, sample: &str) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut found = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-        if &line[..name_end] != sample {
-            continue;
-        }
-        let value = line.rsplit(' ').next()?;
-        if let Ok(v) = value.parse::<f64>() {
-            sum += v;
-            found = true;
-        }
-    }
-    found.then_some(sum)
-}
-
-/// One-shot scrape probe: fetch, validate strictly, and enforce the
-/// optional `--require-*` population checks. Returns the report text.
+/// One-shot scrape probe: fetch, parse strictly, and enforce the
+/// optional `--require-*` population checks. Fleet metrics are per-shard
+/// labeled series, so a required metric's value is its sum across label
+/// sets. Returns the report text.
 fn probe_scrape(
     addr: &str,
     require_histogram: Option<&str>,
     require_counter: Option<&str>,
 ) -> Result<String, String> {
     let text = scrape_once(addr)?;
-    let samples = export::validate_prometheus(&text)
+    let samples = export::parse_prometheus(&text)
         .map_err(|e| format!("invalid Prometheus exposition from {addr}: {e}"))?;
-    let mut report = format!("scrape ok: {samples} samples from http://{addr}/metrics\n");
+    let mut report = format!(
+        "scrape ok: {} samples from http://{addr}/metrics\n",
+        samples.len()
+    );
     if let Some(name) = require_histogram {
-        let count_sample = format!("{name}_count");
-        let count = sample_value(&text, &count_sample)
+        let count = series_sum(&samples, &format!("{name}_count"), None)
             .ok_or_else(|| format!("histogram '{name}' missing from scrape"))?;
         if count <= 0.0 {
             return Err(format!("histogram '{name}' is present but empty (count 0)"));
@@ -968,7 +946,7 @@ fn probe_scrape(
         report.push_str(&format!("histogram {name}: count {count}\n"));
     }
     if let Some(name) = require_counter {
-        let value = sample_value(&text, name)
+        let value = series_sum(&samples, name, None)
             .ok_or_else(|| format!("counter '{name}' missing from scrape"))?;
         if value <= 0.0 {
             return Err(format!("counter '{name}' is present but zero"));
@@ -1632,6 +1610,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evclimate::telemetry::HistogramSpec;
 
     fn parse(command: &str, argv: &[&str]) -> Result<Args, String> {
         let command = COMMANDS
@@ -1939,23 +1918,46 @@ mod tests {
     }
 
     #[test]
-    fn sample_value_matches_names_exactly_and_sums_labeled_series() {
+    fn series_sum_matches_names_exactly_and_sums_labeled_series() {
+        let sum = |text: &str, name: &str| {
+            series_sum(&export::parse_prometheus(text).expect("parses"), name, None)
+        };
         let text = "# TYPE fleet_steps_total counter\n\
                     fleet_steps_total 42\n\
                     mpc_control_step_seconds_bucket{le=\"+Inf\"} 5\n\
                     mpc_control_step_seconds_count 5\n";
-        assert_eq!(sample_value(text, "fleet_steps_total"), Some(42.0));
-        assert_eq!(
-            sample_value(text, "mpc_control_step_seconds_count"),
-            Some(5.0)
-        );
+        assert_eq!(sum(text, "fleet_steps_total"), Some(42.0));
+        assert_eq!(sum(text, "mpc_control_step_seconds_count"), Some(5.0));
         // Prefix of a longer name must not match.
-        assert_eq!(sample_value(text, "fleet_steps"), None);
-        assert_eq!(sample_value(text, "missing_metric"), None);
+        assert_eq!(sum(text, "fleet_steps"), None);
+        assert_eq!(sum(text, "missing_metric"), None);
         // Per-shard labeled series sum to the fleet-wide value.
         let labeled = "fleet_steps_total{shard=\"0\"} 40\n\
                        fleet_steps_total{shard=\"1\"} 2\n";
-        assert_eq!(sample_value(labeled, "fleet_steps_total"), Some(42.0));
+        assert_eq!(sum(labeled, "fleet_steps_total"), Some(42.0));
+    }
+
+    #[test]
+    fn scrape_probe_counts_bucket_values_not_exemplars() {
+        // Buckets le=0.001, le=0.01 and +Inf; five 4 ms observations make
+        // the cumulative counts 0, 5, 5, and the le=0.01 line carries an
+        // exemplar whose value (0.004) follows the count.
+        let registry = Registry::enabled();
+        let h = registry.histogram("probe_seconds", HistogramSpec::new(0.001, 10.0, 2));
+        for _ in 0..5 {
+            h.record_with_exemplar(0.004, 7);
+        }
+        let mut server =
+            ScrapeServer::bind("127.0.0.1:0", registry.clone()).expect("binds loopback");
+        let addr = server.addr().to_string();
+        let text = scrape_once(&addr).expect("scrapes");
+        assert!(text.contains("} 5 # {"), "exemplar suffix expected: {text}");
+
+        let ok = probe_scrape(&addr, Some("probe_seconds"), Some("probe_seconds_bucket"))
+            .expect("probe passes");
+        assert!(ok.contains("histogram probe_seconds: count 5\n"), "{ok}");
+        assert!(ok.contains("counter probe_seconds_bucket: 10\n"), "{ok}");
+        server.shutdown();
     }
 
     #[test]

@@ -43,9 +43,8 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`units`] | physical-quantity newtypes |
-//! | [`linalg`] | dense LU / Cholesky / QR kernel |
-//! | [`ode`] | fixed-step and adaptive integrators |
-//! | [`optim`] | active-set QP and SQP solvers |
+//! | [`linalg`] | dense LU, CSR and banded LDLᵀ |
+//! | [`optim`] | interior-point QP and SQP solvers |
 //! | [`drive`] | standard driving cycles and drive profiles |
 //! | [`powertrain`] | EV road loads, motor map, regen; ICE reference |
 //! | [`hvac`] | single-zone VAV cabin model |
@@ -63,7 +62,6 @@ pub use ev_core as core;
 pub use ev_drive as drive;
 pub use ev_hvac as hvac;
 pub use ev_linalg as linalg;
-pub use ev_ode as ode;
 pub use ev_optim as optim;
 pub use ev_powertrain as powertrain;
 pub use ev_telemetry as telemetry;
