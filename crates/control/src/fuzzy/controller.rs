@@ -78,7 +78,7 @@ impl FuzzyController {
 
     /// Builds the Mamdani system: error {NL, NS, ZE, PS, PL} ×
     /// rate {N, Z, P} → duty {strong-heat … strong-cool} on [−1, 1].
-    fn build_engine() -> FuzzyEngine {
+    pub(super) fn build_engine() -> FuzzyEngine {
         let tri = |a: f64, b: f64, c: f64| MembershipFunction::Triangle { a, b, c };
         let error_terms = vec![
             Term {

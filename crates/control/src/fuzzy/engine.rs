@@ -83,6 +83,20 @@ impl MembershipFunction {
             }
         }
     }
+
+    /// An interval outside which [`degree`](Self::degree) is exactly 0:
+    /// unbounded on a shoulder side, and unbounded on both sides for a
+    /// malformed (unordered or NaN) shape, whose degree is not confined.
+    fn support(&self) -> (f64, f64) {
+        match *self {
+            Self::Triangle { a, b, c } if a <= b && b <= c => (
+                if a == b { f64::NEG_INFINITY } else { a },
+                if c == b { f64::INFINITY } else { c },
+            ),
+            Self::Trapezoid { a, d, .. } if a <= d => (a, d),
+            _ => (f64::NEG_INFINITY, f64::INFINITY),
+        }
+    }
 }
 
 /// A named linguistic term: a label plus its membership function.
@@ -106,6 +120,11 @@ pub struct Rule {
 }
 
 /// A Mamdani fuzzy system with any number of inputs and one output.
+///
+/// Inference aggregates per firing consequent: the rules fold into one
+/// strength per output term before defuzzification, so the centroid
+/// costs one membership evaluation per firing output term and sample,
+/// however many rules share that term.
 ///
 /// # Examples
 ///
@@ -186,6 +205,14 @@ impl FuzzyEngine {
     /// Runs Mamdani inference (min AND, max aggregation, centroid
     /// defuzzification) for crisp input values.
     ///
+    /// Each input term's membership is evaluated once. The rules then
+    /// fold into one strength per output term, the max over the rules
+    /// with that consequent, and the centroid samples only the
+    /// consequents that fire, each only over its support. Clipping
+    /// commutes with the max over rules sharing a consequent
+    /// (max_r min(s_r, μ(y)) = min(max_r s_r, μ(y))), so the result is
+    /// bit-identical to clipping and aggregating rule by rule.
+    ///
     /// Returns the centroid of the aggregated output set, or the universe
     /// midpoint when no rule fires.
     ///
@@ -199,36 +226,56 @@ impl FuzzyEngine {
             self.inputs.len(),
             "fuzzy input count mismatch"
         );
-        // Firing strength of each rule.
-        let strengths: Vec<f64> = self
-            .rules
-            .iter()
-            .map(|rule| {
-                rule.antecedents
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(var, term)| {
-                        term.map(|t| self.inputs[var][t].mf.degree(values[var]))
-                    })
-                    .fold(1.0, f64::min)
-            })
-            .collect();
+        // One buffer: every input term's degree, variable by variable,
+        // then one aggregated strength per output term.
+        let n_in: usize = self.inputs.iter().map(Vec::len).sum();
+        let mut buf = Vec::with_capacity(n_in + self.output_terms.len());
+        for (terms, &x) in self.inputs.iter().zip(values) {
+            buf.extend(terms.iter().map(|term| term.mf.degree(x)));
+        }
+        buf.resize(n_in + self.output_terms.len(), 0.0);
+        let (degrees, strengths) = buf.split_at_mut(n_in);
+        for rule in &self.rules {
+            let mut s: f64 = 1.0;
+            let mut base = 0;
+            for (terms, term) in self.inputs.iter().zip(&rule.antecedents) {
+                if let Some(t) = term {
+                    s = s.min(degrees[base + t]);
+                }
+                base += terms.len();
+            }
+            if s > 0.0 {
+                let agg = &mut strengths[rule.consequent];
+                *agg = agg.max(s);
+            }
+        }
 
-        // Aggregate (max of clipped consequents) and take the centroid.
+        // Aggregate (max of clipped consequents) and take the centroid
+        // over evenly spaced samples of the output universe.
         let (lo, hi) = self.output_universe;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for k in 0..Self::SAMPLES {
-            let y = lo + (hi - lo) * (k as f64) / ((Self::SAMPLES - 1) as f64);
-            let mut mu: f64 = 0.0;
-            for (rule, &s) in self.rules.iter().zip(&strengths) {
-                if s > 0.0 {
-                    let clipped = s.min(self.output_terms[rule.consequent].mf.degree(y));
-                    mu = mu.max(clipped);
+        let mut ys = [0.0_f64; Self::SAMPLES];
+        for (k, y) in ys.iter_mut().enumerate() {
+            *y = lo + (hi - lo) * (k as f64) / ((Self::SAMPLES - 1) as f64);
+        }
+        // Aggregated membership per sample. Outside a term's support its
+        // clipped degree is 0 and cannot raise the max, so it is skipped;
+        // the negated test still evaluates a NaN sample.
+        let mut mu = [0.0_f64; Self::SAMPLES];
+        for (term, &s) in self.output_terms.iter().zip(&*strengths) {
+            if s > 0.0 {
+                let (from, to) = term.mf.support();
+                for (m, &y) in mu.iter_mut().zip(&ys) {
+                    if !(y < from || y > to) {
+                        *m = m.max(s.min(term.mf.degree(y)));
+                    }
                 }
             }
-            num += mu * y;
-            den += mu;
+        }
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (&m, &y) in mu.iter().zip(&ys) {
+            num += m * y;
+            den += m;
         }
         if den == 0.0 {
             0.5 * (lo + hi)
@@ -388,5 +435,129 @@ mod tests {
                 consequent: 0,
             }],
         );
+    }
+
+    /// The rule-by-rule Mamdani loop [`FuzzyEngine::infer`] replaced:
+    /// one firing strength per rule, each rule's consequent clipped and
+    /// max-aggregated at every centroid sample. Kept as the reference the
+    /// per-consequent inference must match bit for bit.
+    fn rule_by_rule(e: &FuzzyEngine, values: &[f64]) -> f64 {
+        let strengths: Vec<f64> = e
+            .rules
+            .iter()
+            .map(|rule| {
+                rule.antecedents
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(var, term)| term.map(|t| e.inputs[var][t].mf.degree(values[var])))
+                    .fold(1.0, f64::min)
+            })
+            .collect();
+        let (lo, hi) = e.output_universe;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for k in 0..FuzzyEngine::SAMPLES {
+            let y = lo + (hi - lo) * (k as f64) / ((FuzzyEngine::SAMPLES - 1) as f64);
+            let mut mu: f64 = 0.0;
+            for (rule, &s) in e.rules.iter().zip(&strengths) {
+                if s > 0.0 {
+                    let clipped = s.min(e.output_terms[rule.consequent].mf.degree(y));
+                    mu = mu.max(clipped);
+                }
+            }
+            num += mu * y;
+            den += mu;
+        }
+        if den == 0.0 {
+            0.5 * (lo + hi)
+        } else {
+            num / den
+        }
+    }
+
+    /// `n + 1` evenly spaced points over `[lo, hi]` plus the exact
+    /// values `extra`.
+    fn grid(lo: f64, hi: f64, n: u32, extra: &[f64]) -> Vec<f64> {
+        (0..=n)
+            .map(|k| lo + (hi - lo) * f64::from(k) / f64::from(n))
+            .chain(extra.iter().copied())
+            .collect()
+    }
+
+    fn assert_bit_identical(e: &FuzzyEngine, values: &[f64]) {
+        let got = e.infer(values);
+        let want = rule_by_rule(e, values);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "inputs {values:?}: per-consequent {got} vs rule-by-rule {want}"
+        );
+    }
+
+    #[test]
+    fn paper_rule_base_matches_rule_by_rule_bit_for_bit() {
+        // The 5×3 base the fuzzy baseline controller runs, over the
+        // clamped input square, its edges and centre, and beyond it.
+        let e = super::super::FuzzyController::build_engine();
+        let edges = [-1.0, -f64::EPSILON, 0.0, f64::EPSILON, 1.0, -7.5, 7.5];
+        let error = grid(-1.2, 1.2, 240, &edges);
+        let rate = grid(-1.2, 1.2, 120, &edges);
+        for &x in &error {
+            for &r in &rate {
+                assert_bit_identical(&e, &[x, r]);
+            }
+        }
+    }
+
+    #[test]
+    fn generic_rule_base_matches_rule_by_rule_bit_for_bit() {
+        let term = |mf| Term { label: "t", mf };
+        let trap = |a, b, c, d| MembershipFunction::Trapezoid { a, b, c, d };
+        // Shoulders, a trapezoid and gaps where no input term holds.
+        let in0 = vec![
+            term(tri(-1.0, -1.0, 0.0)),
+            term(tri(-0.5, 0.0, 0.5)),
+            term(trap(0.2, 0.4, 0.6, 0.9)),
+        ];
+        let in1 = vec![term(tri(0.0, 0.5, 1.0)), term(tri(0.5, 1.0, 1.0))];
+        let in2 = vec![term(trap(-3.0, -2.0, 2.0, 3.0))];
+        // Output terms on (−2, 3): shoulders that saturate inside the
+        // universe, a trapezoid, and an unordered triangle (a > b = c)
+        // whose degree is 1 from c = 0 upward, below its left foot a = 1
+        // too.
+        let out = vec![
+            term(tri(-1.5, -1.5, 0.0)),
+            term(tri(-1.0, 0.5, 2.0)),
+            term(trap(1.0, 1.5, 2.0, 3.0)),
+            term(tri(2.0, 2.5, 2.5)),
+            term(tri(1.0, 0.0, 0.0)),
+        ];
+        let rule = |antecedents: [Option<usize>; 3], consequent| Rule {
+            antecedents: antecedents.to_vec(),
+            consequent,
+        };
+        // Consequent 1 is shared by three rules; `None` is don't-care.
+        let rules = vec![
+            rule([Some(0), None, None], 0),
+            rule([Some(1), Some(0), None], 1),
+            rule([Some(2), Some(1), Some(0)], 1),
+            rule([Some(0), Some(1), None], 1),
+            rule([None, Some(1), None], 2),
+            rule([Some(2), None, Some(0)], 3),
+            rule([None, Some(0), Some(0)], 4),
+        ];
+        let e = FuzzyEngine::new(vec![in0, in1, in2], out, (-2.0, 3.0), rules);
+        // No input term holds at (1.2, −1, 5): no rule fires.
+        assert_eq!(e.infer(&[1.2, -1.0, 5.0]), 0.5);
+        let edges = [-1.0, 0.0, 1.0, 1.2];
+        let in0 = grid(-1.5, 1.5, 60, &edges);
+        let in1 = grid(-1.5, 1.5, 60, &edges);
+        for &x0 in &in0 {
+            for &x1 in &in1 {
+                for x2 in [-4.0, -2.5, 0.0, 2.999, 5.0] {
+                    assert_bit_identical(&e, &[x0, x1, x2]);
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,16 @@
 //!
 //! Built on `Mutex<VecDeque>` plus two condition variables (one for
 //! "not full", one for "not empty"); no unsafe, no spinning.
+//!
+//! Wakeups go only to registered waiters. Consumers blocked in
+//! [`BoundedQueue::pop`] and producers parked in [`BoundedQueue::push`]
+//! are counted under the lock, and a notify is sent only when the count
+//! says someone waits: an uncontended push or pop makes no wake call.
+//! A parked producer is released once consumers have drained the queue
+//! to half its capacity (the low-water mark `capacity / 2`), not at the
+//! first free slot, so one wakeup lets it refill half the queue instead
+//! of parking again after a single push. [`BoundedQueue::close`] wakes
+//! everyone.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -37,6 +47,8 @@ struct QueueState<T> {
     closed: bool,
     /// Producers blocked inside [`BoundedQueue::push`] right now.
     parked: usize,
+    /// Consumers blocked inside [`BoundedQueue::pop`] right now.
+    waiting: usize,
 }
 
 /// A blocking bounded MPMC queue. See the module docs for the
@@ -63,6 +75,7 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
                 parked: 0,
+                waiting: 0,
             }),
             capacity,
             not_full: Condvar::new(),
@@ -104,11 +117,12 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue lock poisoned").parked
     }
 
-    /// Enqueues `item`, **parking** (blocking) while the queue is full.
-    /// On success reports whether the caller had to park — `Ok(true)`
-    /// means the queue was full and this push waited for a slot, the
-    /// signal the fleet engine's backpressure counters are built on.
-    /// Returns the item back as `Err` if the queue is closed.
+    /// Enqueues `item`, **parking** (blocking) if the queue is full until
+    /// consumers have drained it to half its capacity. On success
+    /// reports whether the caller had to park — `Ok(true)` means the
+    /// queue was full and this push waited for a slot, the signal the
+    /// fleet engine's backpressure counters are built on. Returns the
+    /// item back as `Err` if the queue is closed.
     ///
     /// # Errors
     ///
@@ -131,8 +145,11 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         state.items.push_back(item);
+        let wake = state.waiting > 0;
         drop(state);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(parked)
     }
 
@@ -156,8 +173,11 @@ impl<T> BoundedQueue<T> {
             return Err(TryPushError::Full(item));
         }
         state.items.push_back(item);
+        let wake = state.waiting > 0;
         drop(state);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -172,14 +192,21 @@ impl<T> BoundedQueue<T> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
+                // Release a parked producer only at the low-water mark,
+                // so it wakes to half a queue of free slots.
+                let wake = state.parked > 0 && state.items.len() <= self.capacity / 2;
                 drop(state);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
+            state.waiting += 1;
             state = self.not_empty.wait(state).expect("queue lock poisoned");
+            state.waiting -= 1;
         }
     }
 
@@ -212,6 +239,70 @@ mod tests {
     fn wait_until_parked<T>(q: &BoundedQueue<T>, n: usize) {
         while q.parked_producers() < n {
             std::hint::spin_loop();
+        }
+    }
+
+    /// Blocks until `n` consumers wait in `pop` on `q`; the consumer
+    /// counterpart of [`wait_until_parked`].
+    fn wait_until_waiting<T>(q: &BoundedQueue<T>, n: usize) {
+        while q.state.lock().expect("queue lock poisoned").waiting < n {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Starts a consumer on the empty `q` and returns once it is
+    /// blocked in `pop`.
+    fn blocked_consumer(q: &Arc<BoundedQueue<u32>>) -> thread::JoinHandle<Option<u32>> {
+        let consumer = {
+            let q = Arc::clone(q);
+            thread::spawn(move || q.pop())
+        };
+        wait_until_waiting(q, 1);
+        consumer
+    }
+
+    #[test]
+    fn push_releases_a_blocked_consumer() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let consumer = blocked_consumer(&q);
+        assert_eq!(q.push(5), Ok(false));
+        assert_eq!(consumer.join().unwrap(), Some(5));
+    }
+
+    #[test]
+    fn try_push_releases_a_blocked_consumer() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let consumer = blocked_consumer(&q);
+        assert!(q.try_push(6).is_ok());
+        assert_eq!(consumer.join().unwrap(), Some(6));
+    }
+
+    #[test]
+    fn close_releases_a_blocked_consumer() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let consumer = blocked_consumer(&q);
+        q.close();
+        assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn parked_producer_finishes_once_drained_to_half_capacity() {
+        let q = Arc::new(BoundedQueue::new(4));
+        for i in 0..4u32 {
+            q.push(i).unwrap();
+        }
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push(4).unwrap())
+        };
+        wait_until_parked(&q, 1);
+        // Two pops leave the low-water mark of 4 / 2 items.
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some(1));
+        assert!(producer.join().unwrap(), "full queue: push reports parking");
+        assert_eq!(q.parked_producers(), 0);
+        for i in 2..5 {
+            assert_eq!(q.pop(), Some(i));
         }
     }
 
@@ -282,9 +373,10 @@ mod tests {
         assert!(matches!(q.try_push('c'), Err(TryPushError::Closed('c'))));
     }
 
-    #[test]
-    fn mpmc_round_trip_preserves_every_item() {
-        let q = Arc::new(BoundedQueue::new(4));
+    /// Four producers push 250 items each through `capacity` slots to
+    /// three consumers; every item must come out exactly once.
+    fn mpmc_round_trip(capacity: usize) {
+        let q = Arc::new(BoundedQueue::new(capacity));
         let total: usize = 4 * 250;
         let consumers: Vec<_> = (0..3)
             .map(|_| {
@@ -320,6 +412,19 @@ mod tests {
         assert_eq!(all.len(), total);
         all.dedup();
         assert_eq!(all.len(), total, "items were duplicated or lost");
+    }
+
+    #[test]
+    fn mpmc_round_trip_preserves_every_item() {
+        mpmc_round_trip(4);
+    }
+
+    #[test]
+    fn mpmc_round_trip_at_capacity_one_and_two() {
+        // Low-water marks 0 and 1: a parked producer is released only
+        // by the pop that empties the queue, or by any pop.
+        mpmc_round_trip(1);
+        mpmc_round_trip(2);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! shard's thread.
 //!
 //! Backpressure is explicit at the submission boundary:
-//! [`FleetEngine::step`] *parks* the caller while the home shard's
-//! queue is full, [`FleetEngine::try_step`] *sheds* (returns
+//! [`FleetEngine::step`] *parks* the caller when the home shard's
+//! queue is full, until the shard has drained it to half capacity;
+//! [`FleetEngine::try_step`] *sheds* (returns
 //! [`FleetError::Shed`]). Either way the queue never exceeds its
 //! configured capacity.
 

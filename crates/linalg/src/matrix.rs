@@ -190,17 +190,6 @@ impl Matrix {
         &mut self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    #[must_use]
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Borrows the underlying row-major storage.
     #[inline]
     #[must_use]
@@ -393,41 +382,6 @@ impl Matrix {
         }
         true
     }
-
-    /// Stacks `self` on top of `other` (row concatenation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &Self) -> Result<Self, LinalgError> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (other.rows, self.cols),
-                actual: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Extracts the rows with the given indices into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn select_rows(&self, indices: &[usize]) -> Self {
-        let mut out = Self::zeros(indices.len(), self.cols);
-        for (i, &r) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(r));
-        }
-        out
-    }
 }
 
 impl core::fmt::Display for Matrix {
@@ -461,7 +415,6 @@ mod tests {
         assert_eq!(m.get(0, 2), 3.0);
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]
@@ -557,19 +510,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
         assert!(!a.is_symmetric(1e-9));
         assert!(!sample().is_symmetric(1.0));
-    }
-
-    #[test]
-    fn vstack_and_select_rows() {
-        let a = sample();
-        let st = a.vstack(&a).unwrap();
-        assert_eq!(st.shape(), (4, 3));
-        assert_eq!(st.row(2), a.row(0));
-        let sel = st.select_rows(&[3, 0]);
-        assert_eq!(sel.row(0), a.row(1));
-        assert_eq!(sel.row(1), a.row(0));
-        let bad = Matrix::zeros(1, 2);
-        assert!(a.vstack(&bad).is_err());
     }
 
     #[test]

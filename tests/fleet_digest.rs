@@ -1,11 +1,13 @@
 //! Golden snapshot of the fleet's deterministic loadgen outputs.
 //!
-//! A seeded MPC loadgen is deterministic in its config: the step and
-//! drive totals, the warm-start counters and the order-independent
+//! A seeded loadgen is deterministic in its config: the step and drive
+//! totals, the warm-start counters and the order-independent
 //! `fleet_digest` of every session's final state must not move unless
 //! the controller, the plant or the fleet engine changed behavior. The
 //! same-seed tests in `ev-core` only compare a digest with itself; this
-//! pins it against a committed value. Re-baseline intentionally with:
+//! pins it against a committed value, once for the MPC fleet and once
+//! for the fuzzy fleet at one plant step per command. Re-baseline
+//! intentionally with:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test fleet_digest
@@ -17,19 +19,10 @@ use ev_testkit::verify_or_update_text;
 use evclimate::core::fleet::{run_loadgen, LoadgenConfig};
 use evclimate::core::ControllerKind;
 
-#[test]
-fn seeded_mpc_loadgen_digest_matches_baseline() {
-    let config = LoadgenConfig {
-        sessions: 6,
-        steps_per_session: 120,
-        chunk: 16,
-        seed: 7,
-        shards: 1,
-        queue_capacity: 256,
-        controller: ControllerKind::Mpc,
-        max_sqp_iterations: None,
-    };
-    let report = run_loadgen(&config);
+/// Runs `config` and checks its deterministic report against
+/// `tests/golden/<golden>`.
+fn check_loadgen_digest(config: &LoadgenConfig, golden: &str) {
+    let report = run_loadgen(config);
     let text = format!(
         "loadgen {} sessions x {} steps, chunk {}, seed {}, {} shard, {:?}\n\
          total steps        {}\n\
@@ -52,8 +45,40 @@ fn seeded_mpc_loadgen_digest_matches_baseline() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("fleet_digest_mpc.txt");
+        .join(golden);
     if let Err(e) = verify_or_update_text(&path, &text) {
         panic!("{e}");
     }
+}
+
+#[test]
+fn seeded_mpc_loadgen_digest_matches_baseline() {
+    let config = LoadgenConfig {
+        sessions: 6,
+        steps_per_session: 120,
+        chunk: 16,
+        seed: 7,
+        shards: 1,
+        queue_capacity: 256,
+        controller: ControllerKind::Mpc,
+        max_sqp_iterations: None,
+    };
+    check_loadgen_digest(&config, "fleet_digest_mpc.txt");
+}
+
+#[test]
+fn seeded_fuzzy_loadgen_digest_matches_baseline() {
+    // One plant step per command: every step crosses the shard queue,
+    // the path the fuzzy fleet benchmark measures.
+    let config = LoadgenConfig {
+        sessions: 100,
+        steps_per_session: 60,
+        chunk: 1,
+        seed: 7,
+        shards: 1,
+        queue_capacity: 256,
+        controller: ControllerKind::Fuzzy,
+        max_sqp_iterations: None,
+    };
+    check_loadgen_digest(&config, "fleet_digest_fuzzy.txt");
 }
